@@ -45,11 +45,14 @@ const Knob* knob_reference() noexcept {
   static const Knob kKnobs[] = {
       {"DNC_CRASH_DUMP", "directory", "write crash dumps (flight-recorder state) here on fatal signals"},
       {"DNC_FLIGHT", "0/1", "anomaly flight recorder: keep ring-buffer traces of anomalous solves"},
-      {"DNC_FLIGHT_K", "float", "flight-recorder anomaly threshold (robust z-score multiplier)"},
+      {"DNC_FLIGHT_DEFL", "fraction", "flight trigger: deflated fraction below this (default 0 = off)"},
+      {"DNC_FLIGHT_K", "int", "flight-recorder ring capacity in solves (default 8)"},
+      {"DNC_FLIGHT_LATENCY", "seconds", "flight trigger: solve slower than this (default 0 = off)"},
       {"DNC_FLIGHT_MAX_DUMPS", "int", "cap on flight-recorder dump files per process"},
+      {"DNC_FLIGHT_RESID", "float", "flight trigger: health-probe relative residual above this (default 1e-8)"},
       {"DNC_HISTORY", "path", "append one distilled record per solve to this JSONL archive"},
       {"DNC_HISTORY_MAX_BYTES", "bytes", "rotate the history archive to <path>.1 at this size (default 16 MiB)"},
-      {"DNC_HTTP", "[addr:]port", "serve /healthz /metrics /profile /trace /history over HTTP"},
+      {"DNC_HTTP", "[addr:]port", "serve /healthz /metrics /varz /profile /trace /history /flight over HTTP"},
       {"DNC_HWC", "off/on/perf/rusage", "per-task hardware-counter sampling backend"},
       {"DNC_METRICS", "0/1", "always-on metrics registry (Prometheus text on /metrics)"},
       {"DNC_METRICS_INTERVAL", "seconds", "metrics sampler period"},
@@ -57,11 +60,10 @@ const Knob* knob_reference() noexcept {
       {"DNC_PROFILE", "path", "write folded-stack profile here at exit"},
       {"DNC_PROFILE_HZ", "int", "sampling-profiler frequency (0 = off)"},
       {"DNC_REPORT", "path", "write the SolveReport JSON of each solve here"},
-      {"DNC_SCHED", "steal/central", "runtime scheduling policy"},
       {"DNC_SIMD", "scalar/sse2/avx2", "clamp the SIMD kernel dispatch level"},
       {"DNC_TOPOLOGY", "sockets x l3 x cpus | flat", "override the detected CPU topology for steal ordering"},
       {"DNC_TRACE", "path", "write the Perfetto trace of each solve here"},
-      {"DNC_TUNE_TABLE", "path", "consult this dnc_tune table for nb/policy defaults at solve time"},
+      {"DNC_TUNE_TABLE", "path", "consult this dnc_tune table for the nb default at solve time"},
       {nullptr, nullptr, nullptr},
   };
   return kKnobs;

@@ -35,7 +35,7 @@ double number(const char* name, double dflt) noexcept;
 
 /// One row of the knob-reference table.
 struct Knob {
-  const char* name;     ///< environment variable, e.g. "DNC_SCHED"
+  const char* name;     ///< environment variable, e.g. "DNC_PREC"
   const char* values;   ///< accepted values, human-readable
   const char* summary;  ///< one-line description
 };

@@ -47,7 +47,7 @@ inline Precision parse_precision(const char* s) noexcept {
 }
 
 /// Default for Options::precision: $DNC_PREC, read at each Options
-/// construction (same pattern as rt::default_sched_policy / DNC_SCHED).
+/// construction so tests can setenv() mid-process.
 inline Precision default_precision() noexcept {
   return parse_precision(env::raw("DNC_PREC"));
 }

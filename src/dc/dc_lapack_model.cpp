@@ -49,7 +49,7 @@ void stedc_lapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
   rt::Handle hseq("sequential-flow");  // everything chains through this
 
   Real orgnrm = 0;
-  rt::Runtime runtime(graph, opt.threads, opt.sched);
+  rt::Runtime runtime(graph, opt.threads);
   const auto chain = [&](rt::KindId kind, std::function<void()> fn) {
     graph.submit(kind, std::move(fn), {{&hseq, rt::Access::InOut}});
   };

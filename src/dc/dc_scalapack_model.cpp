@@ -51,7 +51,7 @@ void stedc_scalapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
   std::vector<rt::Handle> hnode(plan.nodes.size());
 
   Real orgnrm = 0;
-  rt::Runtime runtime(graph, opt.threads, opt.sched);
+  rt::Runtime runtime(graph, opt.threads);
 
   graph.submit(K.scale, [&, n] { orgnrm = detail::scale_problem(n, d, e); },
                {{&hbar, rt::Access::InOut}});

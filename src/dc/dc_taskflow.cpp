@@ -70,7 +70,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
   Real orgnrm = 0;
   std::vector<Real> dsorted(n);
 
-  rt::Runtime runtime(graph, opt.threads, opt.sched);
+  rt::Runtime runtime(graph, opt.threads);
 
   // --- prologue ---
   graph.submit(K.scale, [&, n] { orgnrm = detail::scale_problem(n, d, e); },

@@ -3,7 +3,6 @@
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
-#include "runtime/sched.hpp"
 
 namespace dnc::dc {
 
@@ -19,10 +18,6 @@ struct Options {
 
   /// Worker threads for the parallel drivers.
   int threads = 4;
-
-  /// Runtime scheduling policy (work-stealing by default; the DNC_SCHED
-  /// environment variable overrides the default at construction).
-  rt::SchedPolicy sched = rt::default_sched_policy();
 
   /// Allocate an extra panel workspace so PermuteV can overlap with LAED4
   /// and CopyBackDeflated with ComputeVect (the paper's user option for

@@ -15,7 +15,6 @@
 #include "common/precision.hpp"
 #include "dc/options.hpp"
 #include "obs/report.hpp"
-#include "runtime/sched.hpp"
 
 namespace dnc::dc::tune {
 namespace {
@@ -106,7 +105,6 @@ bool parse_table(const std::string& json_text, Table& out, std::string* err) {
     en.precision = e.member_string("precision", "");
     en.workers = static_cast<int>(e.member_number("workers", 0.0));
     en.nb = static_cast<index_t>(e.member_number("nb", 0.0));
-    en.sched = e.member_string("sched", "");
     en.makespan = e.member_number("makespan", 0.0);
     en.how = e.member_string("how", "");
     if (en.n > 0) out.entries.push_back(std::move(en));
@@ -137,8 +135,8 @@ std::string table_to_json(const Table& t) {
     out += "    {\"n\": " + std::to_string(e.n) + ", \"family\": \"" + escape(e.family) +
            "\", \"precision\": \"" + escape(e.precision) +
            "\", \"workers\": " + std::to_string(e.workers) +
-           ", \"nb\": " + std::to_string(e.nb) + ", \"sched\": \"" + escape(e.sched) +
-           "\", \"makespan\": " + buf + ", \"how\": \"" + escape(e.how) + "\"}";
+           ", \"nb\": " + std::to_string(e.nb) + ", \"makespan\": " + buf +
+           ", \"how\": \"" + escape(e.how) + "\"}";
   }
   out += "\n  ]\n}\n";
   return out;
@@ -165,7 +163,6 @@ std::string entry_label(const Entry& e) {
   if (!e.precision.empty()) s += " precision=" + e.precision;
   if (e.workers != 0) s += " workers=" + std::to_string(e.workers);
   if (e.nb > 0) s += " nb=" + std::to_string(e.nb);
-  if (!e.sched.empty()) s += " sched=" + e.sched;
   return s;
 }
 
@@ -178,12 +175,8 @@ bool apply_env_tuning(Options& opt, index_t n) {
   const Entry* e =
       lookup(cached->table, static_cast<long>(n), precision_name(opt.precision), opt.threads);
   if (e == nullptr) return false;
-  // Explicit Options win: only knobs still at their built-in defaults are
-  // replaced. An explicit DNC_SCHED also outranks the table's policy.
+  // An explicit Options::nb wins: only the built-in default is replaced.
   if (e->nb > 0 && opt.nb == kDefaultNb) opt.nb = e->nb;
-  if (!e->sched.empty() && !env::is_set("DNC_SCHED") &&
-      opt.sched == rt::default_sched_policy())
-    rt::parse_sched_policy(e->sched.c_str(), opt.sched);
   tls_pending.tuned = true;
   tls_pending.source = path;
   tls_pending.entry = entry_label(*e);

@@ -2,21 +2,21 @@
 // the drivers at solve time.
 //
 // The closing piece of the PR 9 loop: `dnc_tune` measures which panel
-// width (nb) and scheduler policy win for a given (n, family, precision,
-// workers) cell and writes a versioned JSON table; a solve run with
-// DNC_TUNE_TABLE=<path> looks up the nearest-n entry matching its
-// precision and worker count and fills in any Options knob the caller
-// left at its default. Explicit Options always win, and an explicit
-// DNC_SCHED outranks the table's policy choice (both are deliberate user
-// decisions; the table only replaces built-in defaults).
+// width (nb) wins for a given (n, family, precision, workers) cell and
+// writes a versioned JSON table; a solve run with DNC_TUNE_TABLE=<path>
+// looks up the nearest-n entry matching its precision and worker count and
+// fills in nb if the caller left it at its default. An explicit
+// Options::nb always wins (the table only replaces built-in defaults).
 //
 // Table format (version 1):
 //   { "version": 1,
 //     "entries": [ { "n": 600, "family": "type4", "precision": "f64",
-//                    "workers": 4, "nb": 96, "sched": "steal",
+//                    "workers": 4, "nb": 96,
 //                    "makespan": 0.0123, "how": "solve-sweep" }, ... ] }
 // "family" is provenance (which Table III generator produced the tuning
 // matrix) -- a solve cannot know its matrix family, so lookups ignore it.
+// Tables written when the runtime had two scheduler policies also carry a
+// "sched" member; like every unknown member it is ignored.
 #pragma once
 
 #include <string>
@@ -39,7 +39,6 @@ struct Entry {
   std::string precision;  ///< "f64"/"f32"/"f32refine"; "" matches any
   int workers = 0;        ///< tuned worker count; 0 matches any
   index_t nb = 0;         ///< winning panel width; 0 = no recommendation
-  std::string sched;      ///< winning policy "central"/"steal"; "" = none
   double makespan = 0.0;  ///< measured seconds of the winning config
   std::string how;        ///< "solve-sweep" / "trace-sweep"
 };
@@ -64,16 +63,15 @@ std::string table_to_json(const Table& t);
 /// candidate matches.
 const Entry* lookup(const Table& t, long n, const std::string& precision, int workers);
 
-/// One-line rendering of an entry ("n=600 family=type4 nb=96 sched=steal"),
+/// One-line rendering of an entry ("n=600 family=type4 nb=96"),
 /// used for the SolveReport stamp and /healthz.
 std::string entry_label(const Entry& e);
 
 /// Solve-time hook, called by every driver entry point: when DNC_TUNE_TABLE
 /// names a readable table, looks up (n, opt.precision, opt.threads) and
-/// overrides opt.nb / opt.sched IF the caller left them at their built-in
-/// defaults (nb == 128; sched == the built-in default with DNC_SCHED
-/// unset). Returns true when at least one knob was changed OR the entry
-/// matched (so the report records the consultation either way); records a
+/// overrides opt.nb IF the caller left it at its built-in default (128).
+/// Returns true when the entry matched, whether or not nb changed (so the
+/// report records the consultation either way); records a
 /// pending stamp that the next finish_report() picks up. The table is
 /// cached per path and reloaded when the file's mtime/size changes.
 bool apply_env_tuning(Options& opt, index_t n);

@@ -97,7 +97,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
 
   rt::TaskGraph graph;
   const MrrrKinds K(graph);
-  rt::Runtime runtime(graph, opt.threads, opt.sched);
+  rt::Runtime runtime(graph, opt.threads);
 
   std::mutex next_mu;
   std::vector<std::shared_ptr<rt::Handle>> block_handles;

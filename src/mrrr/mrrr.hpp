@@ -18,7 +18,6 @@
 #include "lapack/refine.hpp"
 #include "matgen/tridiag.hpp"
 #include "obs/report.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/simulator.hpp"
 #include "runtime/trace.hpp"
 
@@ -26,9 +25,6 @@ namespace dnc::mrrr {
 
 struct Options {
   int threads = 4;
-  /// Runtime scheduling policy (work-stealing by default; DNC_SCHED
-  /// overrides the default at construction).
-  rt::SchedPolicy sched = rt::default_sched_policy();
   /// Working precision of the solve (DNC_PREC overrides the default).
   /// F32 runs the whole representation tree in fp32; F32RefineF64 follows
   /// the fp32 solve with fp64 Rayleigh-quotient refinement of the

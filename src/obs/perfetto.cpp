@@ -263,7 +263,7 @@ std::string perfetto_trace_json(const rt::Trace& trace, const SolveReport* repor
     emit(buf);
   }
 
-  // --- counter track: cumulative successful steals (steal policy only) ---
+  // --- counter track: cumulative successful steals ---
   for (const auto& s : trace.steal_samples) {
     std::snprintf(buf, sizeof buf,
                   "{\"name\":\"steals_cumulative\",\"ph\":\"C\",\"pid\":1,"

@@ -49,7 +49,7 @@ struct SchedulerMetrics {
   double total_idle = 0.0;  ///< summed per-worker idle (s)
   int max_queue_depth = 0;
   // --- scheduling-policy observability (PR 4) ---
-  std::string policy;       ///< "central" / "steal" ("" = unknown/old trace)
+  std::string policy;       ///< "steal" ("central" in old traces; "" = unknown)
   long steals = 0;          ///< successful steals, summed over workers
   long steal_attempts = 0;  ///< victim probes, summed over workers
   long failed_steals = 0;   ///< empty full scans, summed over workers

@@ -43,8 +43,8 @@ struct TaskNode {
   KindId kind = 0;
   /// Scheduling priority: higher runs first among ready tasks, FIFO within
   /// equal priority. Fixed at submission (a task can become ready inside
-  /// submit(), so a post-submit setter would be a race). Both engine
-  /// policies and the simulator honor it.
+  /// submit(), so a post-submit setter would be a race). The scheduler
+  /// and the simulator honor it.
   int priority = 0;
   std::function<void()> fn;
   // --- scheduling state ---

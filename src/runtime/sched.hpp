@@ -1,43 +1,23 @@
-// Scheduling-policy seam of the runtime.
+// Scheduling policy of the runtime.
 //
-// The engine (runtime/engine.hpp) executes a TaskGraph through one of two
-// interchangeable schedulers:
-//
-//   SchedPolicy::Central  one mutex-guarded priority queue shared by all
-//                         workers -- the original PR-0 engine, kept as the
-//                         baseline the work-stealing numbers are gated on;
-//   SchedPolicy::Steal    per-worker bounded deques with owner-LIFO /
-//                         thief-FIFO access, round-robin submitter
-//                         placement and an exponential-backoff idle path
-//                         (the default).
-//
-// Both honor TaskNode::priority (higher drains first, FIFO within equal
-// priority) so the critical-path-first annotations of the D&C drivers mean
-// the same thing under either policy, and both feed the same observability
-// (queue-depth samples, per-worker counters) into rt::Trace.
-//
-// The DNC_SCHED environment variable ("central" / "steal") overrides the
-// compiled default; dc::Options::sched and mrrr::Options::sched initialise
-// from it so every driver exposes the knob.
+// There is one: SchedPolicy::Steal, per-worker priority deques with
+// topology-aware work stealing (runtime/scheduler.hpp). EXPERIMENTS.md
+// ("Scheduler policy") records why it is the one kept. The enum and its
+// name stay because traces, SolveReports, history records and bench
+// metadata stamp the policy, and artifacts recorded while a "central"
+// policy existed must still load and diff.
 #pragma once
 
 namespace dnc::rt {
 
 enum class SchedPolicy {
-  Central,  ///< single shared ready queue (baseline)
-  Steal,    ///< per-worker deques + work stealing (default)
+  Steal,  ///< per-worker deques + work stealing
 };
 
-/// Stable lowercase name ("central" / "steal") for reports and artifacts.
-const char* sched_policy_name(SchedPolicy p) noexcept;
+/// Stable lowercase name ("steal") for reports and artifacts.
+constexpr const char* sched_policy_name(SchedPolicy) noexcept { return "steal"; }
 
-/// Parses "central" / "steal" (case-sensitive). Returns false and leaves
-/// `out` untouched on anything else.
-bool parse_sched_policy(const char* s, SchedPolicy& out) noexcept;
-
-/// Policy a Runtime constructed without an explicit choice uses: the
-/// DNC_SCHED environment variable when set to a valid name, otherwise
-/// SchedPolicy::Steal. Read per call so tests can setenv() mid-process.
-SchedPolicy default_sched_policy() noexcept;
+/// Policy every Runtime uses.
+constexpr SchedPolicy default_sched_policy() noexcept { return SchedPolicy::Steal; }
 
 }  // namespace dnc::rt

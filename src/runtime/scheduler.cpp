@@ -1,16 +1,18 @@
 #include "runtime/scheduler.hpp"
 
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
+#include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/hwc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "runtime/sched.hpp"
 
 namespace dnc::rt {
 
@@ -43,6 +45,9 @@ struct WorkerCtx {
   double frame_nested = 0.0;
   /// Inclusive hwc deltas of helped child tasks inside the current frame.
   std::uint64_t frame_hwc[kHwcSlots] = {0, 0, 0, 0};
+  /// End of the worker's previous top-level task (or thread start): idle
+  /// time runs from here to the next top-level task's start.
+  double idle_mark = now_seconds();
 };
 
 namespace {
@@ -117,84 +122,75 @@ std::vector<QueueSample> SampledSeries::snapshot() const {
 // ---------------------------------------------------------------------------
 // Scheduler
 
-std::unique_ptr<Scheduler> Scheduler::make(SchedPolicy policy, TaskGraph& graph, int threads) {
-  switch (policy) {
-    case SchedPolicy::Central: return make_central_scheduler(graph, threads);
-    case SchedPolicy::Steal: return make_steal_scheduler(graph, threads);
-  }
-  return make_steal_scheduler(graph, threads);
-}
+namespace {
+constexpr std::size_t kDequeCap = 4096;  // per-worker bound before spilling
+constexpr int kSpinRounds = 6;           // backoff doublings before sleeping
+}  // namespace
 
-Scheduler::Scheduler(TaskGraph& graph, int threads, SchedPolicy policy)
-    : graph_(graph), policy_(policy), thread_count_(threads) {
+Scheduler::Scheduler(TaskGraph& graph, int threads)
+    : graph_(graph), thread_count_(threads) {
   DNC_REQUIRE(threads >= 1, "Runtime needs at least one worker");
+  queues_ = std::make_unique<WorkerQueue[]>(threads);
   idle_.assign(threads, 0.0);
   counters_ = std::make_unique<AtomicWorkerCounters[]>(threads);
+  build_victim_orders();
+  graph_.on_ready = [this](TaskNode* n) { enqueue(n, tls_worker_id); };
+  workers_.reserve(threads);
+  for (int i = 0; i < threads; ++i) workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 Scheduler::~Scheduler() {
-  // stop_workers() must have run from the derived destructor: workers call
-  // virtual hooks, which are gone by the time this destructor executes.
-  assert(workers_.empty() && "Scheduler subclass destructor must call stop_workers()");
-}
-
-void Scheduler::start() {
-  graph_.on_ready = [this](TaskNode* n) { enqueue(n, tls_worker_id); };
-  workers_.reserve(thread_count_);
-  for (int i = 0; i < thread_count_; ++i) workers_.emplace_back([this, i] { worker_loop(i); });
-}
-
-void Scheduler::stop_workers() {
   stop_.store(true, std::memory_order_seq_cst);
-  wake_all();
+  // Empty critical section: a worker between its predicate check and the
+  // wait holds sleep_mu_, so taking it here orders the notify after.
+  { std::lock_guard<std::mutex> lk(sleep_mu_); }
+  cv_sleep_.notify_all();
   for (auto& w : workers_) w.join();
-  workers_.clear();
   graph_.on_ready = nullptr;
-  // Always-on scheduler metrics (DNC_METRICS; one branch when disabled).
-  // Workers are joined, so the per-worker counters are final and plain
-  // relaxed reads see everything.
-  if (obs::metrics::enabled()) {
-    namespace m = obs::metrics;
-    std::string pl = "policy=\"";
-    pl += sched_policy_name(policy_);
-    pl += "\"";
-    long tasks = 0;
-    for (int w = 0; w < thread_count_; ++w)
-      tasks += counters_[w].executed.load(std::memory_order_relaxed);
-    double idle = 0.0;
-    for (double d : idle_) idle += d;
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_runs_total", pl,
-                              "Scheduler lifetimes (one per parallel solve)"));
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_tasks_total", pl,
-                              "Tasks executed by the runtime"),
-           static_cast<double>(tasks));
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_total", pl,
-                              "Successful work steals"),
-           static_cast<double>(total_steals_.load(std::memory_order_relaxed)));
-    long same_l3 = 0, same_socket = 0, cross_socket = 0;
-    for (int w = 0; w < thread_count_; ++w) {
-      same_l3 += counters_[w].steals_same_l3.load(std::memory_order_relaxed);
-      same_socket += counters_[w].steals_same_socket.load(std::memory_order_relaxed);
-      cross_socket += counters_[w].steals_cross_socket.load(std::memory_order_relaxed);
-    }
-    if (same_l3 + same_socket + cross_socket > 0) {
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_l3_total", pl,
-                                "Steals whose victim shares the thief's L3 domain"),
-             static_cast<double>(same_l3));
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_socket_total", pl,
-                                "Steals within the thief's socket but across L3 domains"),
-             static_cast<double>(same_socket));
-      m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_cross_socket_total", pl,
-                                "Steals that crossed the socket interconnect"),
-             static_cast<double>(cross_socket));
-    }
-    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_worker_idle_seconds_total", pl,
-                              "Summed per-worker idle time (s)"),
-           idle);
-    m::observe(m::register_metric(m::Kind::Histogram, "dnc_sched_queue_depth_peak", pl,
-                                  "Peak ready-queue depth per scheduler lifetime"),
-               static_cast<double>(depth_peak_.load(std::memory_order_relaxed)));
+  publish_metrics();
+}
+
+void Scheduler::publish_metrics() const {
+  // One branch when DNC_METRICS is off. Workers are joined, so the
+  // per-worker counters are final and plain relaxed reads see everything.
+  if (!obs::metrics::enabled()) return;
+  namespace m = obs::metrics;
+  const std::string pl =
+      std::string("policy=\"") + sched_policy_name(default_sched_policy()) + "\"";
+  long tasks = 0;
+  long by_class[3] = {0, 0, 0};
+  for (int w = 0; w < thread_count_; ++w) {
+    tasks += counters_[w].executed.load(std::memory_order_relaxed);
+    for (int c = 0; c < 3; ++c)
+      by_class[c] += counters_[w].steals_by_class[c].load(std::memory_order_relaxed);
   }
+  double idle = 0.0;
+  for (double d : idle_) idle += d;
+  m::add(m::register_metric(m::Kind::Counter, "dnc_sched_runs_total", pl,
+                            "Scheduler lifetimes (one per parallel solve)"));
+  m::add(m::register_metric(m::Kind::Counter, "dnc_sched_tasks_total", pl,
+                            "Tasks executed by the runtime"),
+         static_cast<double>(tasks));
+  m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_total", pl,
+                            "Successful work steals"),
+         static_cast<double>(total_steals_.load(std::memory_order_relaxed)));
+  if (by_class[SameL3] + by_class[SameSocket] + by_class[CrossSocket] > 0) {
+    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_l3_total", pl,
+                              "Steals whose victim shares the thief's L3 domain"),
+           static_cast<double>(by_class[SameL3]));
+    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_same_socket_total", pl,
+                              "Steals within the thief's socket but across L3 domains"),
+           static_cast<double>(by_class[SameSocket]));
+    m::add(m::register_metric(m::Kind::Counter, "dnc_sched_steals_cross_socket_total", pl,
+                              "Steals that crossed the socket interconnect"),
+           static_cast<double>(by_class[CrossSocket]));
+  }
+  m::add(m::register_metric(m::Kind::Counter, "dnc_sched_worker_idle_seconds_total", pl,
+                            "Summed per-worker idle time (s)"),
+         idle);
+  m::observe(m::register_metric(m::Kind::Histogram, "dnc_sched_queue_depth_peak", pl,
+                                "Peak ready-queue depth per scheduler lifetime"),
+             static_cast<double>(depth_peak_.load(std::memory_order_relaxed)));
 }
 
 void Scheduler::enqueue(TaskNode* node, int worker) {
@@ -202,19 +198,131 @@ void Scheduler::enqueue(TaskNode* node, int worker) {
   // inflight_ rises before the task is visible to any worker; see the
   // quiescence argument in the header.
   inflight_.fetch_add(1, std::memory_order_relaxed);
-  ready_count_.fetch_add(1, std::memory_order_relaxed);
-  push_ready(node, worker);
-  sample_depth();
+  const int target =
+      worker >= 0 ? worker
+                  : static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) %
+                                     static_cast<unsigned>(thread_count_));
+  bool spilled = false;
+  {
+    std::lock_guard<std::mutex> lk(queues_[target].mu);
+    if (queues_[target].q.size() < kDequeCap) {
+      queues_[target].q.push(node);
+    } else {
+      spilled = true;
+    }
+  }
+  if (spilled) {
+    std::lock_guard<std::mutex> lk(overflow_mu_);
+    overflow_.push(node);
+  } else if (worker < 0) {
+    counters_[target].placed.fetch_add(1, std::memory_order_relaxed);
+  }
+  const long depth = queued_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    { std::lock_guard<std::mutex> lk(sleep_mu_); }
+    cv_sleep_.notify_one();
+  }
+  sample_depth(depth);
 }
 
-void Scheduler::took() {
-  ready_count_.fetch_sub(1, std::memory_order_relaxed);
-  sample_depth();
+TaskNode* Scheduler::take(TaskNode* node) {
+  sample_depth(queued_.fetch_sub(1, std::memory_order_seq_cst) - 1);
+  return node;
 }
 
-void Scheduler::sample_depth() {
-  long d = ready_count_.load(std::memory_order_relaxed);
-  if (d < 0) d = 0;
+TaskNode* Scheduler::scan(int worker) {
+  AtomicWorkerCounters& c = counters_[worker];
+  // 1. Own deque, newest first.
+  TaskNode* node = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(queues_[worker].mu);
+    node = queues_[worker].q.pop_newest();
+  }
+  if (node != nullptr) {
+    c.local_pops.fetch_add(1, std::memory_order_relaxed);
+    return take(node);
+  }
+  // 2. Shared overflow, oldest first.
+  {
+    std::lock_guard<std::mutex> lk(overflow_mu_);
+    node = overflow_.pop_oldest();
+  }
+  if (node != nullptr) return take(node);
+  // 3. Steal cycle over the other deques, nearest victims first; steals
+  //    take the victim's oldest (coldest, most independent) work.
+  for (const auto& [victim, cls] : victims_[worker]) {
+    c.steal_attempts.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lk(queues_[victim].mu);
+      node = queues_[victim].q.pop_oldest();
+    }
+    if (node != nullptr) {
+      record_steal(worker, cls);
+      return take(node);
+    }
+  }
+  c.failed_steals.fetch_add(1, std::memory_order_relaxed);
+  return nullptr;
+}
+
+TaskNode* Scheduler::acquire(int worker) {
+  int spins = 0;
+  for (;;) {
+    TaskNode* node = scan(worker);
+    if (node != nullptr) return node;
+    if (queued_.load(std::memory_order_seq_cst) > 0) continue;  // raced with a push
+    // Stop only after a failed full scan so destruction drains the queues.
+    if (stop_.load(std::memory_order_seq_cst)) return nullptr;
+    if (spins < kSpinRounds) {
+      for (int i = 0; i < (1 << spins); ++i) std::this_thread::yield();
+      ++spins;
+      continue;
+    }
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    {
+      std::unique_lock<std::mutex> lk(sleep_mu_);
+      cv_sleep_.wait(lk, [&] {
+        return stop_.load(std::memory_order_relaxed) ||
+               queued_.load(std::memory_order_seq_cst) > 0;
+      });
+    }
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    spins = 0;
+  }
+}
+
+/// Each worker's steal cycle visits every other worker exactly once,
+/// grouped same-L3 -> same-socket -> cross-socket under the detected (or
+/// DNC_TOPOLOGY-overridden) hierarchy, rotated within each class by the
+/// thief's id so concurrent thieves fan out over distinct victims. Workers
+/// map onto cpus round-robin (worker w -> cpu w % ncpu) -- the runtime does
+/// not pin threads, so this is the same static approximation an OS
+/// scheduler's initial placement gives; on a flat (undetected) topology
+/// every victim classifies as same-L3 and the order degenerates to the
+/// classic (w + k) % n ring.
+void Scheduler::build_victim_orders() {
+  const CpuTopology& topo = cpu_topology();
+  const auto cpu = [&](int w) {
+    return static_cast<std::size_t>(topo.cpus > 0 ? w % topo.cpus : 0);
+  };
+  victims_.resize(static_cast<std::size_t>(thread_count_));
+  for (int w = 0; w < thread_count_; ++w) {
+    auto& order = victims_[static_cast<std::size_t>(w)];
+    order.reserve(static_cast<std::size_t>(thread_count_ - 1));
+    for (const StealClass cls : {SameL3, SameSocket, CrossSocket}) {
+      for (int k = 1; k < thread_count_; ++k) {
+        const int v = (w + k) % thread_count_;  // rotation inside the class
+        const StealClass vc = topo.l3_of[cpu(v)] == topo.l3_of[cpu(w)]           ? SameL3
+                              : topo.socket_of[cpu(v)] == topo.socket_of[cpu(w)] ? SameSocket
+                                                                                 : CrossSocket;
+        if (vc == cls) order.emplace_back(v, cls);
+      }
+    }
+  }
+}
+
+void Scheduler::sample_depth(long d) {
+  if (d < 0) d = 0;  // a take can outrun the matching push's count
   int cur = depth_peak_.load(std::memory_order_relaxed);
   while (static_cast<int>(d) > cur &&
          !depth_peak_.compare_exchange_weak(cur, static_cast<int>(d),
@@ -223,9 +331,17 @@ void Scheduler::sample_depth() {
   queue_series_.push(now_seconds(), static_cast<int>(d));
 }
 
-void Scheduler::record_steal() {
+void Scheduler::record_steal(int worker, StealClass cls) {
+  counters_[worker].steals.fetch_add(1, std::memory_order_relaxed);
+  counters_[worker].steals_by_class[cls].fetch_add(1, std::memory_order_relaxed);
   const long n = total_steals_.fetch_add(1, std::memory_order_relaxed) + 1;
   steal_series_.push(now_seconds(), static_cast<int>(n));
+}
+
+void Scheduler::capture_exception() {
+  std::lock_guard<std::mutex> lk(idle_mu_);
+  if (!error_) error_ = std::current_exception();
+  failed_.store(true, std::memory_order_release);
 }
 
 Scheduler* Scheduler::current() { return tls_scheduler; }
@@ -331,7 +447,7 @@ void Scheduler::spawn_and_wait(const char* suffix, long count,
   // the last children run on other workers.
   int misses = 0;
   while (pending.load(std::memory_order_acquire) > 0) {
-    TaskNode* t = try_acquire(ctx->worker_id);
+    TaskNode* t = scan(ctx->worker_id);
     if (t != nullptr) {
       run_task(t, *ctx);
       misses = 0;
@@ -340,6 +456,12 @@ void Scheduler::spawn_and_wait(const char* suffix, long count,
     } else {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
+  }
+  // Some task failed, possibly one of ours: the children's output may be
+  // incomplete, so the parent body must not continue.
+  if (failed_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lk(idle_mu_);
+    if (error_) std::rethrow_exception(error_);
   }
 }
 
@@ -359,7 +481,15 @@ void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
   std::uint64_t c0[kHwcSlots], c1[kHwcSlots];
   if (ctx.sampling) ctx.hwc.read(c0);
   if (ctx.preg.active()) ctx.preg.set_task(interned_kind(ctx, node->kind));
-  if (node->fn) node->fn();
+  // After a failure the body is skipped but the task still completes, so
+  // its successors are released and the graph drains.
+  if (node->fn && !failed_.load(std::memory_order_relaxed)) {
+    try {
+      node->fn();
+    } catch (...) {
+      capture_exception();
+    }
+  }
   if (ctx.preg.active())
     ctx.preg.set_task(enclosing ? interned_kind(ctx, enclosing->kind) : nullptr);
   std::uint64_t incl[kHwcSlots] = {0, 0, 0, 0};
@@ -373,6 +503,14 @@ void Scheduler::run_task(TaskNode* node, WorkerCtx& ctx) {
   }
   node->t_end = now_seconds();
   node->t_nested = ctx.frame_nested;
+  if (enclosing == nullptr) {
+    // Top-level task: account the idle gap before completion publishes
+    // this task, so a trace() after wait_all() sees it. The marks reuse the
+    // trace timestamps (no extra clock reads); help-first waiting inside a
+    // task is covered by the parent's window, never idle.
+    idle_[ctx.worker_id] += node->t_start - ctx.idle_mark;
+    ctx.idle_mark = node->t_end;
+  }
 
   // Close the frame: credit this task's inclusive cost to the enclosing
   // frame so *its* self time subtracts us in turn.
@@ -409,19 +547,7 @@ void Scheduler::worker_loop(int worker_id) {
   if (ctx.sampling) hwc_active_.store(true, std::memory_order_relaxed);
   tls_scheduler = this;
   tls_ctx = &ctx;
-  // Idle accounting: everything between "done with the previous task" (or
-  // thread start) and "starting the next task" counts as idle. The marks
-  // reuse the trace timestamps, so this adds no clock reads on the task
-  // path. Help-first waiting inside a task never counts as idle here --
-  // the parent's [t_start, t_end] window covers it.
-  double idle_mark = now_seconds();
-  for (;;) {
-    TaskNode* node = acquire(worker_id);
-    if (node == nullptr) break;
-    run_task(node, ctx);
-    idle_[worker_id] += node->t_start - idle_mark;
-    idle_mark = node->t_end;
-  }
+  while (TaskNode* node = acquire(worker_id)) run_task(node, ctx);
   tls_scheduler = nullptr;
   tls_ctx = nullptr;
 }
@@ -429,12 +555,18 @@ void Scheduler::worker_loop(int worker_id) {
 void Scheduler::wait_all() {
   std::unique_lock<std::mutex> lk(idle_mu_);
   cv_idle_.wait(lk, [&] { return inflight_.load(std::memory_order_acquire) == 0; });
+  if (!error_) return;
+  // Quiescent: no task can raise a new error until the caller submits again.
+  std::exception_ptr e = std::exchange(error_, nullptr);
+  failed_.store(false, std::memory_order_relaxed);
+  lk.unlock();
+  std::rethrow_exception(e);
 }
 
 Trace Scheduler::trace() const {
   Trace t;
   t.workers = threads();
-  t.sched_policy = sched_policy_name(policy_);
+  t.sched_policy = sched_policy_name(default_sched_policy());
   const bool hwc = hwc_active_.load(std::memory_order_relaxed);
   const auto to_event = [hwc](const TaskNode& node) {
     TraceEvent e{node.id,       node.kind,     node.worker,    node.t_start,
@@ -483,9 +615,9 @@ Trace Scheduler::trace() const {
     out.steal_attempts = c.steal_attempts.load(std::memory_order_relaxed);
     out.failed_steals = c.failed_steals.load(std::memory_order_relaxed);
     out.placed = c.placed.load(std::memory_order_relaxed);
-    out.steals_same_l3 = c.steals_same_l3.load(std::memory_order_relaxed);
-    out.steals_same_socket = c.steals_same_socket.load(std::memory_order_relaxed);
-    out.steals_cross_socket = c.steals_cross_socket.load(std::memory_order_relaxed);
+    out.steals_same_l3 = c.steals_by_class[SameL3].load(std::memory_order_relaxed);
+    out.steals_same_socket = c.steals_by_class[SameSocket].load(std::memory_order_relaxed);
+    out.steals_cross_socket = c.steals_by_class[CrossSocket].load(std::memory_order_relaxed);
   }
   return t;
 }

@@ -1,28 +1,42 @@
-// Scheduler architecture behind rt::Runtime.
+// The task scheduler behind rt::Runtime.
 //
 // A Scheduler owns the worker threads and the ready-task storage for one
-// TaskGraph. The base class implements everything policy-independent --
-// the run/complete/release cycle, quiescence tracking for wait_all(), idle
-// accounting, per-worker counters, decimated queue-depth sampling, and
-// trace assembly -- while the two concrete policies (sched_central.cpp,
-// sched_steal.cpp) only decide where ready tasks are stored and how a
-// worker acquires its next one:
+// TaskGraph, and implements the run/complete/release cycle, quiescence
+// tracking for wait_all(), idle accounting, per-worker counters, decimated
+// queue-depth sampling, trace assembly and task-internal spawning.
 //
-//   CentralScheduler  one mutex + condition variable around a single
-//                     PrioDeque (the original engine, with priorities);
-//   StealScheduler    one bounded PrioDeque per worker (mutex each), a
-//                     global overflow queue, round-robin placement for
-//                     submitter-side pushes, own-deque placement for
-//                     worker-side pushes, LIFO owner pop / FIFO steal, and
-//                     an exponential-backoff + sleep idle path.
+// Storage: one bounded PrioDeque per worker (mutex each) plus a shared
+// overflow queue. A worker releasing successors pushes them onto its own
+// deque (the data they read is warm in its cache); pushes from the
+// submitting thread are spread round-robin. A deque holds at most
+// kDequeCap tasks; beyond that pushes spill to the overflow queue.
 //
-// Quiescence argument (both policies): `inflight_` counts ready + running
-// tasks and is incremented *before* a task becomes visible to any worker
-// and decremented only *after* its newly-ready successors have been
-// enqueued (each incrementing inflight_ first). Hence inflight_ can only
-// reach zero when no task is queued, running, or about to be queued by a
-// running task, and the decrement-to-zero side notifies cv_idle_ while
-// holding the waiter's mutex -- wait_all() cannot miss the wakeup.
+// Acquisition: own deque newest-first (LIFO keeps a worker on the subtree
+// it just expanded), then the overflow queue, then a steal cycle over the
+// other deques oldest-first. Priority dominates recency everywhere: every
+// pop takes from the highest non-empty priority bucket. The steal cycle is
+// topology-aware (arXiv 1401.4950's locality argument): same-L3 victims
+// first, then same-socket, then cross-socket, and every successful steal
+// is counted in its class.
+//
+// Idle path: after a failed full scan a worker backs off with growing
+// yield bursts, then parks on a condition variable. A producer pushes,
+// bumps queued_ (seq_cst), then reads sleepers_; a consumer bumps
+// sleepers_ (seq_cst), then re-reads queued_ in the wait predicate under
+// sleep_mu_. The seq_cst total order guarantees one side sees the other:
+// the producer notifies (under sleep_mu_), or the consumer does not sleep.
+//
+// Quiescence: `inflight_` counts ready + running tasks. It is incremented
+// *before* a task becomes visible to any worker and decremented only
+// *after* the task's newly-ready successors have been enqueued, so it
+// reaches zero only when nothing is queued, running, or about to be
+// queued; the decrement-to-zero side notifies cv_idle_ under the waiter's
+// mutex, so wait_all() cannot miss the wakeup.
+//
+// Errors: the first exception escaping a task body is captured. Later
+// tasks still complete and release their successors, but their bodies are
+// skipped, so the graph drains quickly; wait_all() then rethrows on the
+// caller's thread and clears the error, leaving the scheduler reusable.
 #pragma once
 
 #include <array>
@@ -30,6 +44,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -40,7 +55,6 @@
 #include <vector>
 
 #include "runtime/graph.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::rt {
@@ -96,25 +110,21 @@ class SampledSeries {
   std::vector<QueueSample> data_;
 };
 
-/// Policy-independent scheduler core; see file comment. Concrete policies
-/// implement the four storage hooks. Lifecycle contract for derived
-/// classes: call start() at the end of the constructor and stop_workers()
-/// at the start of the destructor (workers call the virtual hooks, so they
-/// must be joined while the derived object is still alive).
+/// See the file comment. Workers start in the constructor and are joined
+/// (after draining every queued task) in the destructor.
 class Scheduler {
  public:
-  virtual ~Scheduler();
+  /// Spawns `threads` workers and wires graph.on_ready to them.
+  Scheduler(TaskGraph& graph, int threads);
+  ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Creates the scheduler for `policy` and wires graph.on_ready to it.
-  static std::unique_ptr<Scheduler> make(SchedPolicy policy, TaskGraph& graph, int threads);
-
-  /// Blocks until every submitted task has executed; reusable.
+  /// Blocks until every submitted task has executed; reusable. Rethrows
+  /// the first exception a task body raised since the previous wait_all().
   void wait_all();
 
-  int threads() const { return static_cast<int>(workers_.size()); }
-  SchedPolicy policy() const { return policy_; }
+  int threads() const { return thread_count_; }
 
   /// Builds the execution trace (valid after wait_all()).
   Trace trace() const;
@@ -133,11 +143,15 @@ class Scheduler {
   /// running task body on one of this scheduler's workers: submits `count`
   /// child subtasks running `body(0..count-1)` onto the worker's own queue
   /// and blocks until all have finished -- but "blocks" by working: the
-  /// waiting worker keeps draining its deque / stealing (try_acquire), so
-  /// the core is never parked while children run elsewhere. Child trace
-  /// events carry the parent's id and a kind named "<ParentKind>/<suffix>"
-  /// (registered on first use, inheriting the parent's memory-bound flag)
-  /// so obs/Perfetto/profiler attribute nested work to its spawner.
+  /// waiting worker keeps draining its deque / stealing, so the core is
+  /// never parked while children run elsewhere. Child trace events carry
+  /// the parent's id and a kind named "<ParentKind>/<suffix>" (registered
+  /// on first use, inheriting the parent's memory-bound flag) so
+  /// obs/Perfetto/profiler attribute nested work to its spawner.
+  ///
+  /// Once every child has finished, rethrows the scheduler's captured
+  /// exception if any task (a child or not) has raised one, so the parent
+  /// body never continues on the output of skipped children.
   ///
   /// Called from a non-worker thread (or a worker of another scheduler),
   /// the bodies run inline sequentially -- library code stays correct
@@ -146,41 +160,15 @@ class Scheduler {
   void spawn_and_wait(const char* suffix, long count, const std::function<void(long)>& body,
                       int priority = kChildPriority);
 
- protected:
-  Scheduler(TaskGraph& graph, int threads, SchedPolicy policy);
+ private:
+  struct alignas(64) WorkerQueue {
+    std::mutex mu;
+    PrioDeque q;
+  };
 
-  /// Spawns the workers and hooks graph.on_ready. Call from derived ctor.
-  void start();
-  /// Requests stop, wakes everyone, joins. Call from derived dtor.
-  void stop_workers();
-
-  // --- policy hooks ---
-  /// Stores a ready task. `worker` is the pushing worker id, or -1 when the
-  /// push comes from the submitting thread.
-  virtual void push_ready(TaskNode* node, int worker) = 0;
-  /// Blocks until a task is available (returns it) or stop was requested
-  /// and nothing is left to drain (returns nullptr). Implementations call
-  /// took() after removing a task from storage.
-  virtual TaskNode* acquire(int worker) = 0;
-  /// Non-blocking acquire for the help-first wait loop: one full pass over
-  /// the storage (own deque, overflow, steal cycle for the steal policy; a
-  /// single locked pop for the central one). Returns nullptr when nothing
-  /// was found; never sleeps. Implementations call took() on success.
-  virtual TaskNode* try_acquire(int worker) = 0;
-  /// Wakes every blocked worker (stop_ is already set). Must take the
-  /// sleep mutex (empty critical section suffices) before notifying so a
-  /// worker between predicate check and wait cannot miss it.
-  virtual void wake_all() = 0;
-
-  /// Bookkeeping when a task leaves ready storage: decrements the ready
-  /// count and samples the queue depth.
-  void took();
-
-  // Shared state readable by policies.
-  std::atomic<bool> stop_{false};
-  /// Ready-but-not-taken tasks across all storage; the steal policy's
-  /// sleep predicate ("is there anything to find?") and the depth series.
-  std::atomic<long> ready_count_{0};
+  /// Steal distance between a thief and a victim deque; indexes
+  /// AtomicWorkerCounters::steals_by_class.
+  enum StealClass : int { SameL3 = 0, SameSocket = 1, CrossSocket = 2 };
 
   /// Per-worker counters; relaxed atomics because idle thieves bump
   /// steal_attempts concurrently with trace() reads.
@@ -191,28 +179,36 @@ class Scheduler {
     std::atomic<long> steal_attempts{0};
     std::atomic<long> failed_steals{0};
     std::atomic<long> placed{0};
-    // Locality split of steals (steal policy only; see WorkerSchedCounters).
-    std::atomic<long> steals_same_l3{0};
-    std::atomic<long> steals_same_socket{0};
-    std::atomic<long> steals_cross_socket{0};
+    std::atomic<long> steals_by_class[3] = {0, 0, 0};
   };
-  std::unique_ptr<AtomicWorkerCounters[]> counters_;
 
-  /// Records one successful steal into the cumulative steal series.
-  void record_steal();
-
- private:
   void worker_loop(int worker_id);
   /// Executes one task on this worker: timestamps, hwc deltas, profiler
-  /// attribution, completion (graph successors or child join decrement),
-  /// inflight_ bookkeeping. Re-entrant -- the help-first wait inside
-  /// spawn_and_wait calls it with the parent task's frame still open, and
-  /// the frame stack in WorkerCtx keeps self-time/self-hwc accounting
-  /// correct across arbitrary nesting depth.
+  /// attribution, exception capture, completion (graph successors or child
+  /// join decrement), inflight_ bookkeeping. Re-entrant -- the help-first
+  /// wait inside spawn_and_wait calls it with the parent task's frame still
+  /// open, and the frame stack in WorkerCtx keeps self-time/self-hwc
+  /// accounting correct across arbitrary nesting depth.
   void run_task(TaskNode* node, WorkerCtx& ctx);
-  /// Stamps t_ready, raises inflight_/ready_count_, stores via push_ready.
+  /// Stamps t_ready, raises inflight_ and stores the task: on `worker`'s
+  /// own deque, or round-robin when `worker` is -1 (the submitting thread).
   void enqueue(TaskNode* node, int worker);
-  void sample_depth();
+  /// One full non-blocking pass: own deque, overflow, steal cycle. Returns
+  /// nullptr when nothing was found; never sleeps.
+  TaskNode* scan(int worker);
+  /// Blocks until a task is available (returns it) or stop was requested
+  /// and nothing is left to drain (returns nullptr).
+  TaskNode* acquire(int worker);
+  /// Bookkeeping when a task leaves ready storage.
+  TaskNode* take(TaskNode* node);
+  void sample_depth(long depth);
+  void record_steal(int worker, StealClass cls);
+  /// Stores std::current_exception() unless an earlier one is held.
+  void capture_exception();
+  /// Precomputes each worker's steal cycle (see scheduler.cpp).
+  void build_victim_orders();
+  /// Always-on scheduler metrics of this lifetime (DNC_METRICS).
+  void publish_metrics() const;
 
   /// Registers (or reuses) the child kind "<parent-kind-name>/<suffix>".
   /// Child kind ids extend the graph's kind table, so the graph must not
@@ -224,13 +220,33 @@ class Scheduler {
   const char* interned_kind(WorkerCtx& ctx, int kind);
 
   TaskGraph& graph_;
-  SchedPolicy policy_;
+  int thread_count_;
+
+  // --- ready storage ---
+  std::unique_ptr<WorkerQueue[]> queues_;
+  /// Per-thief victim order, nearest class first: (victim deque, class).
+  std::vector<std::vector<std::pair<int, StealClass>>> victims_;
+  std::atomic<unsigned> rr_{0};
+  std::mutex overflow_mu_;
+  PrioDeque overflow_;
+  /// Pushed minus taken: the sleep predicate and the depth series.
+  std::atomic<long> queued_{0};
+  std::atomic<int> sleepers_{0};
+  std::mutex sleep_mu_;
+  std::condition_variable cv_sleep_;
+  std::atomic<bool> stop_{false};
+
+  // --- quiescence and errors ---
   std::atomic<long> inflight_{0};  // ready + running tasks
+  /// Guards cv_idle_'s predicate and error_.
   std::mutex idle_mu_;
   std::condition_variable cv_idle_;
-  std::vector<std::thread> workers_;
-  int thread_count_ = 0;
+  /// First exception a task body raised since the last wait_all().
+  std::exception_ptr error_;
+  /// error_ is set: later task bodies are skipped.
+  std::atomic<bool> failed_{false};
 
+  std::unique_ptr<AtomicWorkerCounters[]> counters_;
   std::vector<double> idle_;  // written only by the owning worker
   SampledSeries queue_series_;
   SampledSeries steal_series_;
@@ -257,12 +273,10 @@ class Scheduler {
   /// Child ids start far above any graph id (graph ids count up from 0) so
   /// trace consumers can rely on ids staying unique across both kinds.
   std::uint64_t next_child_id_ = std::uint64_t{1} << 62;
-};
 
-/// Policy factories (defined in sched_central.cpp / sched_steal.cpp);
-/// normally reached through Scheduler::make.
-std::unique_ptr<Scheduler> make_central_scheduler(TaskGraph& graph, int threads);
-std::unique_ptr<Scheduler> make_steal_scheduler(TaskGraph& graph, int threads);
+  /// Last: the workers use every member above.
+  std::vector<std::thread> workers_;
+};
 
 /// Free-function form of task-internal spawning for library code: fans
 /// `body(0..count-1)` out as child subtasks of the currently-running task

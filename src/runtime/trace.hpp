@@ -74,8 +74,8 @@ struct QueueSample {
 };
 
 /// Per-worker scheduler counters, snapshotted into the trace when the run
-/// finishes. `executed` counts tasks the worker ran; the acquisition-path
-/// counters are only non-zero under the stealing scheduler.
+/// finishes. `executed` counts tasks the worker ran; the others count how
+/// the worker acquired its tasks.
 struct WorkerSchedCounters {
   long executed = 0;       ///< tasks run by this worker
   long local_pops = 0;     ///< tasks taken from the worker's own deque
@@ -114,14 +114,15 @@ struct Trace {
   /// of the (decimated) samples. 0 for simulated schedules.
   int queue_depth_peak = 0;
 
-  /// Scheduling policy that produced the trace ("central" / "steal");
-  /// empty for simulated schedules and traces predating the seam.
+  /// Scheduling policy that produced the trace ("steal"; traces recorded
+  /// before the central-queue policy was removed may say "central");
+  /// empty for simulated schedules and older traces.
   std::string sched_policy;
 
   /// Per-worker scheduler counters (empty for simulated schedules).
   std::vector<WorkerSchedCounters> sched_counters;
 
-  /// Cumulative successful-steal count over time (steal policy only);
+  /// Cumulative successful-steal count over time;
   /// decimated like queue_samples. Drives the Perfetto steals counter track.
   std::vector<QueueSample> steal_samples;
 

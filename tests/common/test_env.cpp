@@ -85,7 +85,8 @@ TEST(EnvTest, NumberParsesAndFallsBack) {
 TEST(EnvTest, KnobReferenceIsSentinelTerminatedAndComplete) {
   const env::Knob* knobs = env::knob_reference();
   ASSERT_NE(knobs, nullptr);
-  bool saw_tune = false, saw_topo = false, saw_sched = false, saw_hist = false;
+  bool saw_tune = false, saw_topo = false, saw_hist = false;
+  int flight_triggers = 0;
   int count = 0;
   for (const env::Knob* k = knobs; k->name != nullptr; ++k) {
     ASSERT_LT(++count, 256) << "runaway table: missing sentinel?";
@@ -93,12 +94,13 @@ TEST(EnvTest, KnobReferenceIsSentinelTerminatedAndComplete) {
     EXPECT_EQ(std::strncmp(k->name, "DNC_", 4), 0) << k->name;
     if (!std::strcmp(k->name, "DNC_TUNE_TABLE")) saw_tune = true;
     if (!std::strcmp(k->name, "DNC_TOPOLOGY")) saw_topo = true;
-    if (!std::strcmp(k->name, "DNC_SCHED")) saw_sched = true;
+    for (const char* trigger : {"DNC_FLIGHT_RESID", "DNC_FLIGHT_LATENCY", "DNC_FLIGHT_DEFL"})
+      if (!std::strcmp(k->name, trigger)) ++flight_triggers;
     if (!std::strcmp(k->name, "DNC_HISTORY")) saw_hist = true;
   }
   EXPECT_TRUE(saw_tune);
   EXPECT_TRUE(saw_topo);
-  EXPECT_TRUE(saw_sched);
+  EXPECT_EQ(flight_triggers, 3);
   EXPECT_TRUE(saw_hist);
 }
 

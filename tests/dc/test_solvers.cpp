@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
+#include "common/error.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
 #include "verify/metrics.hpp"
@@ -125,6 +126,25 @@ TEST(Stedc, SmallNormScaling) {
   Matrix v;
   stedc_sequential(n, d.data(), e.data(), v, {});
   expect_good_solution(t, d, v);
+}
+
+TEST(Stedc, TaskExceptionReachesCaller) {
+  // A NaN in d makes a leaf solve raise NumericalError. The runtime-backed
+  // drivers raise it inside a worker's task; it must reach this thread like
+  // the serial driver's does, instead of terminating the process.
+  const index_t n = 800;
+  auto t = matgen::onetwoone(n);
+  t.d[17] = std::nan("");
+  const std::tuple<Driver, int> runs[] = {
+      {Driver::Seq, 1}, {Driver::Taskflow, 1}, {Driver::Taskflow, 4}, {Driver::Lapack, 4}};
+  for (const auto& [driver, threads] : runs) {
+    std::vector<double> d = t.d, e = t.e;
+    Matrix v;
+    Options opt;
+    opt.threads = threads;
+    EXPECT_THROW(run_driver(driver, n, d.data(), e.data(), v, opt), NumericalError)
+        << "driver " << static_cast<int>(driver) << ", " << threads << " threads";
+  }
 }
 
 TEST(Stedc, DriversAgreeOnEigenvalues) {

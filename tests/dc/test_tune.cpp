@@ -1,7 +1,7 @@
 // Autotuning table (dc/tune.hpp): JSON round trip, nearest-n lookup with
 // precision/worker wildcards, and the solve-time precedence contract --
-// explicit Options and an explicit DNC_SCHED always outrank the table,
-// which only replaces built-in defaults. The end-to-end test proves a
+// an explicit Options::nb always outranks the table, which only replaces
+// the built-in default. The end-to-end test proves a
 // DNC_TUNE_TABLE solve stamps the consulted entry into its SolveReport.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "dc/options.hpp"
 #include "dc/tune.hpp"
 #include "matgen/tridiag.hpp"
-#include "runtime/sched.hpp"
 
 namespace dnc::dc::tune {
 namespace {
@@ -26,7 +25,6 @@ Table sample_table() {
   a.precision = "f64";
   a.workers = 4;
   a.nb = 96;
-  a.sched = "steal";
   a.makespan = 0.012;
   a.how = "solve-sweep";
   Entry b;
@@ -73,14 +71,22 @@ TEST(TuneTest, JsonRoundTrip) {
   EXPECT_EQ(a.precision, "f64");
   EXPECT_EQ(a.workers, 4);
   EXPECT_EQ(a.nb, 96);
-  EXPECT_EQ(a.sched, "steal");
   EXPECT_NEAR(a.makespan, 0.012, 1e-9);
   EXPECT_EQ(a.how, "solve-sweep");
   const Entry& b = back.entries[1];
   EXPECT_EQ(b.n, 500);
   EXPECT_EQ(b.precision, "");
   EXPECT_EQ(b.workers, 0);
-  EXPECT_EQ(b.sched, "");
+  // Tables written when the runtime had two policies carry a "sched"
+  // member; it is ignored like any unknown member.
+  Table legacy;
+  ASSERT_TRUE(parse_table(
+      "{\"version\": 1, \"entries\": [{\"n\": 600, \"nb\": 96, \"sched\": \"central\"}]}",
+      legacy, &err))
+      << err;
+  ASSERT_EQ(legacy.entries.size(), 1u);
+  EXPECT_EQ(legacy.entries[0].nb, 96);
+  EXPECT_EQ(entry_label(legacy.entries[0]), "n=600 nb=96");
 }
 
 TEST(TuneTest, RejectsWrongVersionAndGarbage) {
@@ -127,7 +133,7 @@ TEST(TuneTest, LookupNearestNWithFilters) {
 
 TEST(TuneTest, EntryLabelOmitsUnsetFields) {
   EXPECT_EQ(entry_label(sample_table().entries[0]),
-            "n=100 family=type4 precision=f64 workers=4 nb=96 sched=steal");
+            "n=100 family=type4 precision=f64 workers=4 nb=96");
   EXPECT_EQ(entry_label(sample_table().entries[1]), "n=500 nb=192");
 }
 
@@ -145,32 +151,6 @@ TEST(TuneTest, ApplyOverridesOnlyDefaultNb) {
   explicit_opt.nb = 160;
   ASSERT_TRUE(apply_env_tuning(explicit_opt, 200)) << "consultation still recorded";
   EXPECT_EQ(explicit_opt.nb, 160) << "explicit Options outrank the table";
-}
-
-TEST(TuneTest, ExplicitSchedEnvOutranksTable) {
-  const rt::SchedPolicy dflt = rt::default_sched_policy();
-  const rt::SchedPolicy other =
-      dflt == rt::SchedPolicy::Steal ? rt::SchedPolicy::Central : rt::SchedPolicy::Steal;
-  Table t;
-  Entry e;
-  e.n = 200;
-  e.sched = rt::sched_policy_name(other);
-  t.entries = {e};
-  {
-    ScopedTuneTable table("tune_test_sched_dflt.json", t);
-    unsetenv("DNC_SCHED");
-    Options opt;
-    ASSERT_TRUE(apply_env_tuning(opt, 200));
-    EXPECT_EQ(opt.sched, other) << "table replaces the built-in default policy";
-  }
-  {
-    ScopedTuneTable table("tune_test_sched_env.json", t);
-    setenv("DNC_SCHED", rt::sched_policy_name(dflt), 1);
-    Options opt;
-    ASSERT_TRUE(apply_env_tuning(opt, 200));
-    EXPECT_EQ(opt.sched, dflt) << "explicit DNC_SCHED outranks the table";
-    unsetenv("DNC_SCHED");
-  }
 }
 
 TEST(TuneTest, NoTableMeansNoStamp) {

@@ -234,7 +234,7 @@ TEST(TraceIo, RoundTripPreservesChildAttribution) {
   // survive export + reload so nested traces stay replayable from disk.
   rt::TaskGraph g;
   const rt::KindId kind = g.register_kind("UpdateVect");
-  rt::Runtime runtime(g, 2, rt::SchedPolicy::Steal);
+  rt::Runtime runtime(g, 2);
   rt::Handle h;
   g.submit(kind,
            [] {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "runtime/engine.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace dnc::obs {
@@ -66,7 +65,7 @@ TEST(Counters, SurvivesStealWorkerThreadExit) {
   const CounterArray before = snapshot();
   {
     rt::TaskGraph g;
-    rt::Runtime run(g, 4, rt::SchedPolicy::Steal);
+    rt::Runtime run(g, 4);
     rt::Handle h;
     for (int i = 0; i < 64; ++i)
       g.submit(0,

@@ -1,7 +1,7 @@
 // Concurrency stress for the live introspection endpoint, run under the
-// `runtime` label so CI exercises it with ThreadSanitizer under both
-// scheduler policies: scraper threads hammer /metrics, /varz and /healthz
-// over real sockets while taskflow solves keep the metrics writers hot.
+// `runtime` label so CI exercises it with ThreadSanitizer: scraper threads
+// hammer /metrics, /varz and /healthz over real sockets while taskflow
+// solves keep the metrics writers hot.
 // Every response must be 200 with a well-formed body -- a torn scrape or a
 // data race is the failure mode this guards against.
 //

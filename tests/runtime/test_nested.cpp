@@ -1,10 +1,8 @@
 // Nested task spawning (Scheduler::spawn_and_wait): correctness of the
-// help-first join under both policies and any thread count, trace
-// attribution of child events under their parent, and the analysis
-// contract that child slices are skipped so nested traces replay
-// bit-for-bit like their flat equivalents. The whole file runs under the
-// ThreadSanitizer CI job (runtime label) and under the DNC_SCHED=central /
-// steal re-run configurations.
+// help-first join at any thread count, trace attribution of child events
+// under their parent, and the analysis contract that child slices are
+// skipped so nested traces replay bit-for-bit like their flat equivalents.
+// The whole file runs under the ThreadSanitizer CI job (runtime label).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,26 +37,23 @@ TEST(NestedSpawn, StressMatchesSequentialReference) {
   constexpr int kParents = 16;
   constexpr long kChildren = 24;
   const std::vector<double> want = reference(kParents, kChildren);
-  for (SchedPolicy pol : {SchedPolicy::Central, SchedPolicy::Steal}) {
-    for (int threads : {1, 2, 4}) {
-      std::vector<double> out(want.size(), 0.0);
-      TaskGraph g;
-      const KindId kind = g.register_kind("Work");
-      Runtime rt(g, threads, pol);
-      Handle h;
-      for (int p = 0; p < kParents; ++p) {
-        g.submit(kind,
-                 [&, p] {
-                   spawn_and_wait("panel", kChildren, [&, p](long c) {
-                     out[static_cast<std::size_t>(p) * kChildren + c] = child_work(p, c);
-                   });
-                 },
-                 {{&h, Access::GatherV}});
-      }
-      rt.wait_all();
-      EXPECT_EQ(out, want) << "policy " << sched_policy_name(pol) << ", " << threads
-                           << " threads";
+  for (int threads : {1, 2, 4}) {
+    std::vector<double> out(want.size(), 0.0);
+    TaskGraph g;
+    const KindId kind = g.register_kind("Work");
+    Runtime rt(g, threads);
+    Handle h;
+    for (int p = 0; p < kParents; ++p) {
+      g.submit(kind,
+               [&, p] {
+                 spawn_and_wait("panel", kChildren, [&, p](long c) {
+                   out[static_cast<std::size_t>(p) * kChildren + c] = child_work(p, c);
+                 });
+               },
+               {{&h, Access::GatherV}});
     }
+    rt.wait_all();
+    EXPECT_EQ(out, want) << threads << " threads";
   }
 }
 
@@ -68,25 +63,21 @@ TEST(NestedSpawn, TwoLevelNesting) {
   constexpr long kMid = 6, kLeaf = 8;
   std::vector<std::atomic<int>> hits(kMid * kLeaf);
   for (auto& h : hits) h.store(0);
-  for (SchedPolicy pol : {SchedPolicy::Central, SchedPolicy::Steal}) {
-    for (auto& h : hits) h.store(0);
-    TaskGraph g;
-    const KindId kind = g.register_kind("Outer");
-    Runtime rt(g, 4, pol);
-    Handle h;
-    g.submit(kind,
-             [&] {
-               spawn_and_wait("mid", kMid, [&](long m) {
-                 spawn_and_wait("leaf", kLeaf, [&, m](long l) {
-                   hits[static_cast<std::size_t>(m) * kLeaf + l].fetch_add(1);
-                 });
+  TaskGraph g;
+  const KindId kind = g.register_kind("Outer");
+  Runtime rt(g, 4);
+  Handle h;
+  g.submit(kind,
+           [&] {
+             spawn_and_wait("mid", kMid, [&](long m) {
+               spawn_and_wait("leaf", kLeaf, [&, m](long l) {
+                 hits[static_cast<std::size_t>(m) * kLeaf + l].fetch_add(1);
                });
-             },
-             {{&h, Access::InOut}});
-    rt.wait_all();
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      EXPECT_EQ(hits[i].load(), 1) << "slot " << i << " policy " << sched_policy_name(pol);
-  }
+             });
+           },
+           {{&h, Access::InOut}});
+  rt.wait_all();
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
 }
 
 TEST(NestedSpawn, SequentialFallbackOffRuntime) {
@@ -101,7 +92,7 @@ TEST(NestedSpawn, ChildEventsNestUnderParentWithSuffixedKind) {
   constexpr long kChildren = 8;
   TaskGraph g;
   const KindId kind = g.register_kind("UpdateVect");
-  Runtime rt(g, 2, SchedPolicy::Steal);
+  Runtime rt(g, 2);
   Handle h;
   TaskNode* parent = g.submit(
       kind, [&] { spawn_and_wait("panel", kChildren, [&](long) { (void)child_work(1, 2); }); },
@@ -137,7 +128,7 @@ TEST(NestedReplay, BitForBitEqualToChildStrippedTrace) {
   // child events removed.
   TaskGraph g;
   const KindId kind = g.register_kind("Work");
-  Runtime rt(g, 4, SchedPolicy::Steal);
+  Runtime rt(g, 4);
   Handle chainh;
   std::vector<Handle> hs(6);
   for (int i = 0; i < 6; ++i) {
@@ -171,7 +162,7 @@ TEST(StealLocality, ClassCountersPartitionSuccessfulSteals) {
   // class, whatever topology the machine (or DNC_TOPOLOGY) reports.
   TaskGraph g;
   const KindId kind = g.register_kind("Work");
-  Runtime rt(g, 4, SchedPolicy::Steal);
+  Runtime rt(g, 4);
   Handle h;
   for (int i = 0; i < 400; ++i)
     g.submit(kind, [i] { (void)child_work(i, 0); }, {{&h, Access::GatherV}});

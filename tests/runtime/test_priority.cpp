@@ -3,11 +3,12 @@
 // Priorities are hints, not barriers: a higher-priority ready task launches
 // before a lower-priority one when a worker picks its next task, but an
 // already-running task is never preempted. These tests pin down the three
-// places the priority must mean the same thing: both engine policies, the
-// DAG simulator, and the trace-driven replay/critical-path analytics.
+// places the priority must mean the same thing: the engine, the DAG
+// simulator, and the trace-driven replay/critical-path analytics.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "common/timer.hpp"
 #include "obs/analysis.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/simulator.hpp"
 
 namespace dnc::rt {
@@ -25,42 +25,40 @@ namespace {
 TEST(Priority, HigherPriorityRunsFirstOnSingleWorker) {
   // Gate a single worker on a blocker task, queue tasks with distinct
   // priorities while it is blocked, then release: the backlog must drain
-  // highest-priority-first under both policies.
-  for (const SchedPolicy policy : {SchedPolicy::Central, SchedPolicy::Steal}) {
-    TaskGraph g;
-    Runtime rt(g, 1, policy);
-    Handle gate;
-    std::atomic<bool> started{false}, release{false};
-    g.submit(0,
-             [&] {
-               started = true;
-               while (!release.load()) std::this_thread::yield();
-             },
-             {{&gate, Access::Out}});
-    while (!started.load()) std::this_thread::yield();
+  // highest-priority-first.
+  TaskGraph g;
+  Runtime rt(g, 1);
+  Handle gate;
+  std::atomic<bool> started{false}, release{false};
+  g.submit(0,
+           [&] {
+             started = true;
+             while (!release.load()) std::this_thread::yield();
+           },
+           {{&gate, Access::Out}});
+  while (!started.load()) std::this_thread::yield();
 
-    std::vector<int> order;
-    std::mutex mu;
-    std::vector<Handle> slots(4);
-    const int prios[4] = {1, 7, 3, 5};
-    for (int i = 0; i < 4; ++i) {
-      g.submit(0,
-               [&, i] {
-                 std::lock_guard<std::mutex> lk(mu);
-                 order.push_back(prios[i]);
-               },
-               {{&gate, Access::In}, {&slots[i], Access::Out}}, prios[i]);
-    }
-    release = true;
-    rt.wait_all();
-    const std::vector<int> want{7, 5, 3, 1};
-    EXPECT_EQ(order, want) << "policy " << sched_policy_name(policy);
+  std::vector<int> order;
+  std::mutex mu;
+  std::vector<Handle> slots(4);
+  const int prios[4] = {1, 7, 3, 5};
+  for (int i = 0; i < 4; ++i) {
+    g.submit(0,
+             [&, i] {
+               std::lock_guard<std::mutex> lk(mu);
+               order.push_back(prios[i]);
+             },
+             {{&gate, Access::In}, {&slots[i], Access::Out}}, prios[i]);
   }
+  release = true;
+  rt.wait_all();
+  const std::vector<int> want{7, 5, 3, 1};
+  EXPECT_EQ(order, want);
 }
 
 TEST(Priority, TraceRecordsTaskPriority) {
   TaskGraph g;
-  Runtime rt(g, 2, SchedPolicy::Steal);
+  Runtime rt(g, 2);
   Handle h;
   g.submit(0, [] {}, {{&h, Access::Out}}, 9);
   g.submit(0, [] {}, {{&h, Access::In}}, 4);
@@ -80,7 +78,7 @@ TEST(Priority, SimulatorOrdersCriticalJoinFirst) {
   const KindId klow = g.register_kind("low");
   const KindId khigh = g.register_kind("high");
   Handle a, b;
-  Runtime rt(g, 1, SchedPolicy::Central);
+  Runtime rt(g, 1);
   const auto spin = [] {
     const double t0 = now_seconds();
     while (now_seconds() - t0 < 1e-4) {
@@ -104,17 +102,17 @@ TEST(Priority, SimulatorOrdersCriticalJoinFirst) {
 }
 
 TEST(Priority, EngineSimulatorReplayAgreementBothPolicies) {
-  // The PR-3 cross-check, now under the policy seam: on the same completed
-  // graph, obs::critical_path(trace) must equal simulate_schedule's
-  // critical path exactly (same durations, same arithmetic), and
-  // obs::replay_trace must reproduce simulate_schedule's makespan for both
-  // ready-queue disciplines -- whichever engine policy produced the trace.
-  for (const SchedPolicy policy : {SchedPolicy::Central, SchedPolicy::Steal}) {
+  // On the same completed graph, obs::critical_path(trace) must equal
+  // simulate_schedule's critical path exactly (same durations, same
+  // arithmetic), and obs::replay_trace must reproduce simulate_schedule's
+  // makespan under both simulator policies (Fifo, Priority). Two seeds
+  // give two independent random graphs.
+  for (const std::uint64_t seed : {11, 22}) {
     TaskGraph g;
     const KindId mem = g.register_kind("copy", true);
-    Runtime rt(g, 2, policy);
+    Runtime rt(g, 2);
     std::vector<Handle> handles(6);
-    Rng rng(policy == SchedPolicy::Central ? 11 : 22);
+    Rng rng(seed);
     for (int t = 0; t < 120; ++t) {
       std::vector<TaskDep> deps;
       const int na = 1 + static_cast<int>(rng.uniform_below(3));
@@ -135,11 +133,9 @@ TEST(Priority, EngineSimulatorReplayAgreementBothPolicies) {
     for (const int w : {1, 4, 16}) {
       for (const SimPolicy sp : {SimPolicy::Fifo, SimPolicy::Priority}) {
         const SimulationResult sim = simulate_schedule(g, w, MachineModel{}, sp);
-        EXPECT_NEAR(cp.length, sim.critical_path, 1e-12)
-            << sched_policy_name(policy) << " w=" << w;
+        EXPECT_NEAR(cp.length, sim.critical_path, 1e-12) << "seed " << seed << " w=" << w;
         const SimulationResult rep = obs::replay_trace(tr, w, MachineModel{}, sp);
-        EXPECT_NEAR(rep.makespan, sim.makespan, 1e-12)
-            << sched_policy_name(policy) << " w=" << w;
+        EXPECT_NEAR(rep.makespan, sim.makespan, 1e-12) << "seed " << seed << " w=" << w;
       }
     }
   }

@@ -1,10 +1,10 @@
 // Unit tests of the scheduler building blocks: the priority deque, the
-// self-decimating sample series, policy parsing / environment selection,
-// and the per-worker counters surfaced through the trace.
+// self-decimating sample series, the policy name, the per-worker counters
+// surfaced through the trace, and task exceptions reaching the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,89 +91,52 @@ TEST(SampledSeries, DecimatesAtCapAndStaysBounded) {
 }
 
 TEST(SchedPolicyParse, NamesRoundTrip) {
-  SchedPolicy p = SchedPolicy::Central;
-  EXPECT_TRUE(parse_sched_policy("steal", p));
-  EXPECT_EQ(p, SchedPolicy::Steal);
-  EXPECT_TRUE(parse_sched_policy("central", p));
-  EXPECT_EQ(p, SchedPolicy::Central);
-  EXPECT_FALSE(parse_sched_policy("lifo", p));
-  EXPECT_FALSE(parse_sched_policy("", p));
-  EXPECT_FALSE(parse_sched_policy(nullptr, p));
-  EXPECT_EQ(p, SchedPolicy::Central);  // failed parse leaves the value alone
-  EXPECT_STREQ(sched_policy_name(SchedPolicy::Steal), "steal");
-  EXPECT_STREQ(sched_policy_name(SchedPolicy::Central), "central");
-}
-
-TEST(SchedPolicyParse, EnvSelectsDefault) {
-  // default_sched_policy re-reads the environment on every call, so the
-  // override is visible immediately and reversible.
-  const char* prev = std::getenv("DNC_SCHED");
-  const std::string saved = prev ? prev : "";
-  setenv("DNC_SCHED", "central", 1);
-  EXPECT_EQ(default_sched_policy(), SchedPolicy::Central);
-  setenv("DNC_SCHED", "steal", 1);
+  // The one policy's name is what traces, reports and bench metadata stamp.
   EXPECT_EQ(default_sched_policy(), SchedPolicy::Steal);
-  setenv("DNC_SCHED", "bogus", 1);
-  EXPECT_EQ(default_sched_policy(), SchedPolicy::Steal);  // unknown -> default
-  unsetenv("DNC_SCHED");
-  EXPECT_EQ(default_sched_policy(), SchedPolicy::Steal);
-  if (prev) setenv("DNC_SCHED", saved.c_str(), 1);
-}
-
-TEST(SchedCounters, CentralPolicyAccountsEveryTask) {
+  EXPECT_STREQ(sched_policy_name(default_sched_policy()), "steal");
   TaskGraph g;
-  Runtime rt(g, 3, SchedPolicy::Central);
-  Handle h;
-  for (int i = 0; i < 500; ++i)
-    g.submit(0, [] {}, {{&h, Access::GatherV}});
+  Runtime rt(g, 1);
   rt.wait_all();
-  const Trace tr = rt.trace();
-  EXPECT_EQ(tr.sched_policy, std::string("central"));
-  ASSERT_EQ(tr.sched_counters.size(), 3u);
-  long executed = 0, steals = 0;
-  for (const auto& c : tr.sched_counters) {
-    executed += c.executed;
-    steals += c.steals;
-  }
-  EXPECT_EQ(executed, 500);
-  EXPECT_EQ(steals, 0);  // a single shared queue has nothing to steal
-  EXPECT_GE(tr.queue_depth_peak, 1);
+  EXPECT_EQ(rt.trace().sched_policy, sched_policy_name(SchedPolicy::Steal));
 }
 
 TEST(SchedCounters, StealPolicyAccountsEveryTask) {
-  TaskGraph g;
-  Runtime rt(g, 4, SchedPolicy::Steal);
-  Handle h;
-  for (int i = 0; i < 2000; ++i)
-    g.submit(0, [] {}, {{&h, Access::GatherV}});
-  rt.wait_all();
-  const Trace tr = rt.trace();
-  EXPECT_EQ(tr.sched_policy, std::string("steal"));
-  ASSERT_EQ(tr.sched_counters.size(), 4u);
-  long executed = 0, local = 0, steals = 0, attempts = 0, placed = 0;
-  for (const auto& c : tr.sched_counters) {
-    executed += c.executed;
-    local += c.local_pops;
-    steals += c.steals;
-    attempts += c.steal_attempts;
-    placed += c.placed;
+  for (const int threads : {3, 4}) {
+    TaskGraph g;
+    Runtime rt(g, threads);
+    Handle h;
+    for (int i = 0; i < 2000; ++i)
+      g.submit(0, [] {}, {{&h, Access::GatherV}});
+    rt.wait_all();
+    const Trace tr = rt.trace();
+    EXPECT_EQ(tr.sched_policy, std::string("steal"));
+    ASSERT_EQ(tr.sched_counters.size(), static_cast<std::size_t>(threads));
+    long executed = 0, local = 0, steals = 0, attempts = 0, placed = 0;
+    for (const auto& c : tr.sched_counters) {
+      executed += c.executed;
+      local += c.local_pops;
+      steals += c.steals;
+      attempts += c.steal_attempts;
+      placed += c.placed;
+    }
+    EXPECT_EQ(executed, 2000);
+    // Every execution came off a deque: the owner's (local pop), another
+    // worker's (steal), or the bounded-capacity overflow queue.
+    EXPECT_LE(local + steals, executed);
+    EXPECT_GE(local + steals, 1);
+    EXPECT_LE(steals, attempts);
+    // Submitter-side round-robin placement covered all deques.
+    EXPECT_EQ(placed, 2000);
+    for (const auto& c : tr.sched_counters) EXPECT_GT(c.placed, 0);
+    EXPECT_GE(tr.queue_depth_peak, 1);
   }
-  EXPECT_EQ(executed, 2000);
-  // Every execution came off a deque: the owner's (local pop), another
-  // worker's (steal), or the bounded-capacity overflow queue.
-  EXPECT_LE(local + steals, executed);
-  EXPECT_GE(local + steals, 1);
-  EXPECT_LE(steals, attempts);
-  // Submitter-side round-robin placement covered all deques.
-  EXPECT_EQ(placed, 2000);
-  for (const auto& c : tr.sched_counters) EXPECT_GT(c.placed, 0);
 }
 
 TEST(SchedCounters, QueueDepthPeakIsExactDespiteDecimation) {
   // Submit a wide fan (all ready at once) against one slow worker: the
   // peak must reflect the true backlog even if sampling decimated.
   TaskGraph g;
-  Runtime rt(g, 1, SchedPolicy::Central);
+  Runtime rt(g, 1);
   Handle gate;
   std::atomic<bool> release{false};
   g.submit(0, [&] { while (!release.load()) std::this_thread::yield(); },
@@ -184,6 +147,72 @@ TEST(SchedCounters, QueueDepthPeakIsExactDespiteDecimation) {
   rt.wait_all();
   const Trace tr = rt.trace();
   EXPECT_GE(tr.queue_depth_peak, 300);
+}
+
+TEST(SchedErrors, GraphTaskExceptionReachesWaitAll) {
+  // A throwing task in the middle of a chain: the first exception reaches
+  // wait_all() on this thread, later bodies are skipped, and every task
+  // still completes so the graph drains and the runtime stays usable.
+  for (const int threads : {1, 4}) {
+    TaskGraph g;
+    Runtime rt(g, threads);
+    Handle chain;
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 200; ++i) {
+      g.submit(0,
+               [&ran, i] {
+                 ran.fetch_add(1);
+                 if (i == 50) throw std::runtime_error("task 50 failed");
+               },
+               {{&chain, Access::InOut}});
+    }
+    try {
+      rt.wait_all();
+      ADD_FAILURE() << "wait_all did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 50 failed");
+    }
+    EXPECT_EQ(ran.load(), 51) << threads << " threads";
+    long executed = 0;
+    for (const auto& c : rt.trace().sched_counters) executed += c.executed;
+    EXPECT_EQ(executed, 200);
+
+    // The error was consumed: the next batch runs normally.
+    for (int i = 0; i < 20; ++i)
+      g.submit(0, [&ran] { ran.fetch_add(1); }, {{&chain, Access::InOut}});
+    EXPECT_NO_THROW(rt.wait_all());
+    EXPECT_EQ(ran.load(), 71);
+  }
+}
+
+TEST(SchedErrors, ThrowingChildReachesParentAndCaller) {
+  TaskGraph g;
+  const KindId kind = g.register_kind("Work");
+  Runtime rt(g, 4);
+  Handle h;
+  std::atomic<int> parent_saw{0}, after_join{0}, children{0};
+  for (int p = 0; p < 4; ++p) {
+    g.submit(kind,
+             [&, p] {
+               try {
+                 spawn_and_wait("panel", 16, [&, p](long c) {
+                   children.fetch_add(1);
+                   if (p == 1 && c == 5) throw std::logic_error("child failed");
+                 });
+               } catch (const std::logic_error&) {
+                 parent_saw.fetch_add(1);
+                 throw;
+               }
+               after_join.fetch_add(1);  // never reached once a child failed
+             },
+             {{&h, Access::InOut}});
+  }
+  EXPECT_THROW(rt.wait_all(), std::logic_error);
+  // Parent 0 finished before the failure; parent 1 saw its child's
+  // exception; parents 2 and 3 were skipped.
+  EXPECT_EQ(after_join.load(), 1);
+  EXPECT_EQ(parent_saw.load(), 1);
+  EXPECT_LE(children.load(), 32);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// Randomized-DAG stress test of the scheduler policies.
+// Randomized-DAG stress test of the scheduler.
 //
 // The task-flow model promises sequential consistency with submission
 // order: whatever interleaving the scheduler picks, every handle must end
-// with the value a one-thread sequential interpretation produces, and
-// every reader must observe exactly the value it would have seen in that
+// with the value a sequential interpretation produces, and every reader
+// must observe exactly the value it would have seen in that
 // interpretation. This file fuzzes DAGs mixing all four access modes
-// (In / Out / InOut / GatherV) and executes each one under both policies
-// (central queue, work stealing) at several thread counts, comparing the
-// full observation log against a 1-thread central-policy reference run of
-// the same program.
+// (In / Out / InOut / GatherV), executes each one at several thread
+// counts, and compares the full observation log against a plain loop that
+// interprets the program in submission order without the runtime.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +15,6 @@
 
 #include "common/rng.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/sched.hpp"
 
 namespace dnc::rt {
 namespace {
@@ -52,8 +50,25 @@ struct RunResult {
   std::vector<long> observed;     // per task; readers record, others -1
 };
 
-RunResult run_program(const std::vector<Op>& prog, int nhandles, int threads,
-                      SchedPolicy policy) {
+/// The reference: the program run in submission order on this thread.
+RunResult interpret(const std::vector<Op>& prog, int nhandles) {
+  RunResult r;
+  r.final_values.assign(nhandles, 0);
+  r.observed.assign(prog.size(), -1);
+  for (std::size_t t = 0; t < prog.size(); ++t) {
+    long& cell = r.final_values[prog[t].handle];
+    const long x = prog[t].operand;
+    switch (prog[t].mode) {
+      case Access::In: r.observed[t] = cell; break;
+      case Access::Out: cell = x; break;
+      case Access::InOut: cell = cell * 3 + x; break;
+      case Access::GatherV: cell += x; break;
+    }
+  }
+  return r;
+}
+
+RunResult run_program(const std::vector<Op>& prog, int nhandles, int threads) {
   TaskGraph g;
   std::vector<Handle> handles(nhandles);
   std::vector<std::atomic<long>> cells(nhandles);
@@ -61,7 +76,7 @@ RunResult run_program(const std::vector<Op>& prog, int nhandles, int threads,
   RunResult r;
   r.observed.assign(prog.size(), -1);
 
-  Runtime rt(g, threads, policy);
+  Runtime rt(g, threads);
   for (std::size_t t = 0; t < prog.size(); ++t) {
     const Op& op = prog[t];
     std::atomic<long>& cell = cells[op.handle];
@@ -94,19 +109,11 @@ TEST(SchedStress, AllPoliciesMatchSequentialReference) {
   for (int trial = 0; trial < 8; ++trial) {
     constexpr int kHandles = 10;
     const std::vector<Op> prog = random_program(rng, 400, kHandles);
-    // The 1-thread central run IS the sequential interpretation: one queue,
-    // FIFO within priority, single worker.
-    const RunResult ref = run_program(prog, kHandles, 1, SchedPolicy::Central);
-    for (const SchedPolicy policy : {SchedPolicy::Central, SchedPolicy::Steal}) {
-      for (const int threads : {1, 2, 4}) {
-        const RunResult got = run_program(prog, kHandles, threads, policy);
-        EXPECT_EQ(got.final_values, ref.final_values)
-            << "trial " << trial << " policy " << sched_policy_name(policy) << " threads "
-            << threads;
-        EXPECT_EQ(got.observed, ref.observed)
-            << "trial " << trial << " policy " << sched_policy_name(policy) << " threads "
-            << threads;
-      }
+    const RunResult ref = interpret(prog, kHandles);
+    for (const int threads : {1, 2, 4}) {
+      const RunResult got = run_program(prog, kHandles, threads);
+      EXPECT_EQ(got.final_values, ref.final_values) << "trial " << trial << " threads " << threads;
+      EXPECT_EQ(got.observed, ref.observed) << "trial " << trial << " threads " << threads;
     }
   }
 }
@@ -115,7 +122,7 @@ TEST(SchedStress, StealPolicyWideFanOut) {
   // Many independent tasks from a single submitter: round-robin placement
   // spreads them over all deques, and every one must run exactly once.
   TaskGraph g;
-  Runtime rt(g, 4, SchedPolicy::Steal);
+  Runtime rt(g, 4);
   Handle h;
   std::atomic<long> count{0};
   for (int i = 0; i < 20000; ++i)
@@ -133,7 +140,7 @@ TEST(SchedStress, StealPolicyDeepChainReusableWaitAll) {
   // exercises the sleep/wake path: each completion readies exactly one
   // task, possibly on a different worker's deque.
   TaskGraph g;
-  Runtime rt(g, 4, SchedPolicy::Steal);
+  Runtime rt(g, 4);
   Handle h;
   long value = 0;
   for (int round = 0; round < 3; ++round) {

@@ -32,7 +32,6 @@
 #include "obs/hwc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_io.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/trace.hpp"
 
 namespace {
@@ -50,8 +49,6 @@ struct Args {
   bool nb_sweep = false;
   std::string json_out;
   int profile_width = 100;
-  /// Engine policy for in-process solves ("" = default / $DNC_SCHED).
-  std::string sched;
   /// Roofline view: per-kind hardware-counter attribution vs the machine
   /// peak. In solve mode this turns DNC_HWC sampling on for the run.
   bool roofline = false;
@@ -71,7 +68,7 @@ void usage(const char* argv0) {
       "usage: %s [--load trace.json | --driver taskflow|lapack_model|scalapack_model|mrrr]\n"
       "          [--type 1..15] [--n N] [--minpart M] [--nb NB]\n"
       "          [--workers 1,2,4,8,16,32] [--nb-sweep] [--json out.json]\n"
-      "          [--profile-width W] [--sched central|steal]\n"
+      "          [--profile-width W]\n"
       "          [--roofline] [--peak-gflops G] [--version]\n"
       "       %s --metrics snap.json | --metrics-diff a.json b.json\n"
       "       %s --profile profile.folded [--top N]\n",
@@ -133,11 +130,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       const char* v = next();
       if (!v) return false;
       a.profile_width = std::atoi(v);
-    } else if (flag == "--sched") {
-      const char* v = next();
-      rt::SchedPolicy p;
-      if (!v || !rt::parse_sched_policy(v, p)) return false;
-      a.sched = v;
     } else if (flag == "--roofline") {
       a.roofline = true;
     } else if (flag == "--metrics") {
@@ -179,7 +171,6 @@ dc::Options solve_options(const Args& a) {
   opt.threads = 1;  // measure durations without timesharing noise
   opt.minpart = a.minpart > 0 ? a.minpart : std::max<index_t>(48, a.n / 16);
   opt.nb = a.nb > 0 ? a.nb : std::max<index_t>(48, a.n / 12);
-  if (!a.sched.empty()) rt::parse_sched_policy(a.sched.c_str(), opt.sched);
   return opt;
 }
 
@@ -197,7 +188,6 @@ bool run_solver(const Args& a, rt::Trace& trace, std::vector<rt::SimulationResul
   if (a.driver == "mrrr") {
     mrrr::Options mopt;
     mopt.threads = 1;
-    if (!a.sched.empty()) rt::parse_sched_policy(a.sched.c_str(), mopt.sched);
     mrrr::Stats st;
     std::vector<double> lam;
     mrrr_solve(a.n, t.d.data(), t.e.data(), lam, v, mopt, &st, a.workers);

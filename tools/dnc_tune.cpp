@@ -5,15 +5,14 @@
 //   dnc_tune trace1.json trace2.json ... --out table.json
 //     Trace mode: every recorded $DNC_TRACE export carries the solve
 //     parameters in its meta block (n, nb, precision -- stamped by the
-//     drivers; workers and sched_policy are native trace fields). Traces
-//     are grouped into cells; the minimum-makespan trace of each cell
-//     donates its nb and policy. A Priority-vs-Fifo replay of the winner
+//     drivers; workers is a native trace field). Traces are grouped into
+//     cells; the minimum-makespan trace of each cell donates its nb. A
+//     Priority-vs-Fifo replay of the winner
 //     reports whether the priority scheme matters for that cell.
 //
 //   dnc_tune --solve --n 600 --type 4 --nb 64,96,128,192 --out table.json
-//     Solve mode: generates the Table III matrix and measures every
-//     nb x {steal, central} combination in-process (median of --reps),
-//     recording the fastest.
+//     Solve mode: generates the Table III matrix and measures every nb
+//     in-process (median of --reps), recording the fastest.
 //
 // The table is versioned JSON; solves consult it via DNC_TUNE_TABLE (see
 // dc/tune.hpp for precedence rules). --merge seeds from an existing table
@@ -35,7 +34,6 @@
 #include "matgen/tridiag.hpp"
 #include "obs/analysis.hpp"
 #include "obs/trace_io.hpp"
-#include "runtime/sched.hpp"
 #include "runtime/trace.hpp"
 
 namespace {
@@ -47,7 +45,7 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s [trace.json ...] [--solve] [--out table.json] [options]\n"
       "  trace mode (default): tune cells from recorded $DNC_TRACE exports\n"
-      "  --solve              measure nb x policy in-process instead\n"
+      "  --solve              measure each nb in-process instead\n"
       "  --out PATH           table to write (default tune_table.json)\n"
       "  --merge PATH         seed from an existing table first\n"
       "  --family S           provenance label for tuned cells\n"
@@ -135,7 +133,6 @@ int tune_from_traces(const Args& a, dc::tune::Table& table) {
     e.precision = meta_string(t, "precision", "");
     e.workers = t.workers;
     e.nb = static_cast<index_t>(meta_counter(t, "nb", 0.0));
-    e.sched = t.sched_policy;
     e.makespan = trace_makespan(t);
     e.how = "trace-sweep";
     const auto key = std::make_tuple(e.n, e.precision, e.workers);
@@ -167,36 +164,32 @@ int tune_from_solves(const Args& a, dc::tune::Table& table) {
   const matgen::Tridiag base = matgen::table3_matrix(a.type, static_cast<index_t>(a.n));
   dc::tune::Entry winner;
   double best_med = 0.0;
-  for (rt::SchedPolicy pol : {rt::SchedPolicy::Steal, rt::SchedPolicy::Central}) {
-    for (index_t nb : a.nbs) {
-      std::vector<double> secs;
-      for (int r = 0; r < a.reps; ++r) {
-        std::vector<double> d = base.d, e = base.e;
-        Matrix v;
-        dc::Options opt;
-        opt.nb = nb;
-        opt.threads = a.workers;
-        opt.sched = pol;
-        opt.precision = parse_precision(a.prec.c_str());
-        dc::SolveStats stats;
-        dc::stedc_taskflow(base.n(), d.data(), e.data(), v, opt, &stats);
-        secs.push_back(stats.seconds);
-      }
-      std::sort(secs.begin(), secs.end());
-      const double med = secs[secs.size() / 2];
-      std::printf("  nb=%-4lld sched=%-7s median %.4fs over %d rep(s)\n",
-                  static_cast<long long>(nb), rt::sched_policy_name(pol), med, a.reps);
-      if (winner.n == 0 || med < best_med) {
-        best_med = med;
-        winner.n = a.n;
-        winner.family = a.family.empty() ? "type" + std::to_string(a.type) : a.family;
-        winner.precision = a.prec;
-        winner.workers = a.workers;
-        winner.nb = nb;
-        winner.sched = rt::sched_policy_name(pol);
-        winner.makespan = med;
-        winner.how = "solve-sweep";
-      }
+  for (index_t nb : a.nbs) {
+    std::vector<double> secs;
+    for (int r = 0; r < a.reps; ++r) {
+      std::vector<double> d = base.d, e = base.e;
+      Matrix v;
+      dc::Options opt;
+      opt.nb = nb;
+      opt.threads = a.workers;
+      opt.precision = parse_precision(a.prec.c_str());
+      dc::SolveStats stats;
+      dc::stedc_taskflow(base.n(), d.data(), e.data(), v, opt, &stats);
+      secs.push_back(stats.seconds);
+    }
+    std::sort(secs.begin(), secs.end());
+    const double med = secs[secs.size() / 2];
+    std::printf("  nb=%-4lld median %.4fs over %d rep(s)\n", static_cast<long long>(nb), med,
+                a.reps);
+    if (winner.n == 0 || med < best_med) {
+      best_med = med;
+      winner.n = a.n;
+      winner.family = a.family.empty() ? "type" + std::to_string(a.type) : a.family;
+      winner.precision = a.prec;
+      winner.workers = a.workers;
+      winner.nb = nb;
+      winner.makespan = med;
+      winner.how = "solve-sweep";
     }
   }
   if (winner.n == 0) return 1;
