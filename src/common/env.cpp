@@ -43,7 +43,6 @@ double number(const char* name, double dflt) noexcept {
 const Knob* knob_reference() noexcept {
   // Keep alphabetical; README's knob table mirrors this list.
   static const Knob kKnobs[] = {
-      {"DNC_CRASH_DUMP", "directory", "write crash dumps (flight-recorder state) here on fatal signals"},
       {"DNC_FLIGHT", "0/1", "anomaly flight recorder: keep ring-buffer traces of anomalous solves"},
       {"DNC_FLIGHT_DEFL", "fraction", "flight trigger: deflated fraction below this (default 0 = off)"},
       {"DNC_FLIGHT_K", "int", "flight-recorder ring capacity in solves (default 8)"},
@@ -52,9 +51,8 @@ const Knob* knob_reference() noexcept {
       {"DNC_FLIGHT_RESID", "float", "flight trigger: health-probe relative residual above this (default 1e-8)"},
       {"DNC_HISTORY", "path", "append one distilled record per solve to this JSONL archive"},
       {"DNC_HISTORY_MAX_BYTES", "bytes", "rotate the history archive to <path>.1 at this size (default 16 MiB)"},
-      {"DNC_HTTP", "[addr:]port", "serve /healthz /metrics /varz /profile /trace /history /flight over HTTP"},
       {"DNC_HWC", "off/on/perf/rusage", "per-task hardware-counter sampling backend"},
-      {"DNC_METRICS", "0/1", "always-on metrics registry (Prometheus text on /metrics)"},
+      {"DNC_METRICS", "0/1", "always-on metrics registry (Prometheus text + JSON snapshot files)"},
       {"DNC_METRICS_INTERVAL", "seconds", "metrics sampler period"},
       {"DNC_PREC", "f64/f32/f32_refine", "solve precision path override"},
       {"DNC_PROFILE", "path", "write folded-stack profile here at exit"},

@@ -2,12 +2,12 @@
 //
 // Historically each subsystem called std::getenv and hand-rolled its own
 // parsing; this header centralises the typed getters and carries the
-// single knob-reference table (name + one-line summary) that docs, tools
-// and /healthz can render without chasing call sites. Getters re-read the
+// single knob-reference table (name + one-line summary) that docs and
+// tools can render without chasing call sites. Getters re-read the
 // environment on every call by design -- tests setenv() mid-process and
 // expect the next solve to notice -- so subsystems that want
 // parse-once-per-run semantics cache the result themselves at a lifecycle
-// boundary (e.g. scheduler start, server start) rather than per task.
+// boundary (e.g. scheduler start) rather than per task.
 #pragma once
 
 #include <string>

@@ -6,6 +6,7 @@
 // release builds unless DNC_ENABLE_ASSERTS is defined.
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -30,6 +31,19 @@ class NumericalError : public std::runtime_error {
   do {                                          \
     if (!(cond)) throw ::dnc::InvalidArgument(msg); \
   } while (0)
+
+/// Input contract of every tridiagonal driver: throws InvalidArgument naming
+/// the first non-finite entry of d[0..n) or e[0..n-1). A NaN or Inf would
+/// otherwise come back as NaN eigenvalues or a bisection that never ends.
+inline void require_finite_tridiagonal(long n, const double* d, const double* e,
+                                       const char* who) {
+  for (long i = 0; i < n; ++i)
+    if (!std::isfinite(d[i]))
+      throw InvalidArgument(std::string(who) + ": d[" + std::to_string(i) + "] is not finite");
+  for (long i = 0; i + 1 < n; ++i)
+    if (!std::isfinite(e[i]))
+      throw InvalidArgument(std::string(who) + ": e[" + std::to_string(i) + "] is not finite");
+}
 
 #if defined(DNC_ENABLE_ASSERTS) || !defined(NDEBUG)
 #define DNC_ASSERT(cond)                                                     \

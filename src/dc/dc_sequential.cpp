@@ -50,8 +50,11 @@ void adjust_boundaries(const Plan& plan, Real* d, const Real* e) {
   }
 }
 
+void (*leaf_fault_for_tests)(index_t, index_t) = nullptr;
+
 template <typename Real>
 void solve_leaf(const TreeNode& node, Real* d, Real* e, MatrixT<Real>& v, index_t* perm) {
+  if (leaf_fault_for_tests) leaf_fault_for_tests(node.i0, node.m);
   lapack::steqr(lapack::CompZ::Identity, node.m, d + node.i0,
                 node.m > 1 ? e + node.i0 : nullptr,
                 v.data() + node.i0 + node.i0 * v.ld(), v.ld());

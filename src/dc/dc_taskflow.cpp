@@ -240,7 +240,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
     stats->n = n;
     stats->trace = trace;
     stats->seconds = seconds;
-    for (int w : simulate_workers) stats->simulated.push_back(rt::simulate_schedule(graph, w));
+    for (int w : simulate_workers) stats->simulated.push_back(rt::simulate_schedule(trace, w));
     if (opt.export_dag) stats->dag_dot = rt::export_dot(graph);
   }
   detail::finish_report(scope, ctxs, n, opt.threads, seconds, tr, stats, opt.precision);

@@ -61,6 +61,12 @@ void adjust_boundaries(const Plan& plan, Real* d, const Real* e);
 template <typename Real>
 void solve_leaf(const TreeNode& node, Real* d, Real* e, MatrixT<Real>& v, index_t* perm);
 
+/// Test-only fault injection, null in every real run: when set, solve_leaf
+/// calls it with the leaf's first row and size before steqr. Valid input
+/// never fails a leaf, so a throw from it stands in for a numerical failure
+/// raised inside a worker's task.
+extern void (*leaf_fault_for_tests)(index_t i0, index_t m);
+
 /// Applies the root permutation: d and the columns of v are reordered
 /// ascending using ws.qwork as scratch.
 template <typename Real>
@@ -106,6 +112,7 @@ void finish_report(const obs::SolveScope& scope,
 ///                 adjustment) and every returned eigenpair is polished to
 ///                 fp64-grade residuals by Rayleigh-quotient iteration.
 ///
+/// Non-finite input is rejected with InvalidArgument before any work.
 /// After the solve (and refinement), the health probe -- armed with the
 /// fp64 tridiagonal snapshotted on entry -- checks sampled eigenpairs, and
 /// the report goes to the metrics registry / flight recorder. With both
@@ -113,6 +120,7 @@ void finish_report(const obs::SolveScope& scope,
 template <typename SolveFn>
 void run_with_precision(index_t n, double* d, double* e, Matrix& v, const Options& opt,
                         SolveStats* stats, SolveFn&& solve) {
+  require_finite_tridiagonal(n, d, e, "stedc");
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
   // A reused SolveStats must not leak the previous solve's refinement
   // epilogue into a run that never refines (the F64/F32 paths below skip it).

@@ -43,9 +43,6 @@ struct PendingStamp {
 };
 thread_local PendingStamp tls_pending;
 
-std::mutex last_mu;
-std::string last_entry_applied;  // process-wide, for /healthz
-
 /// Per-path cache keyed on mtime+size so tests (and long-lived services)
 /// that rewrite the table pick up the new contents without re-parsing on
 /// every solve.
@@ -180,10 +177,6 @@ bool apply_env_tuning(Options& opt, index_t n) {
   tls_pending.tuned = true;
   tls_pending.source = path;
   tls_pending.entry = entry_label(*e);
-  {
-    std::lock_guard<std::mutex> lock(last_mu);
-    last_entry_applied = tls_pending.entry;
-  }
   return true;
 }
 
@@ -191,11 +184,6 @@ void stamp_report(obs::SolveReport& rep) {
   rep.tuned = tls_pending.tuned;
   rep.tune_source = tls_pending.source;
   rep.tune_entry = tls_pending.entry;
-}
-
-std::string last_applied_entry() {
-  std::lock_guard<std::mutex> lock(last_mu);
-  return last_entry_applied;
 }
 
 }  // namespace dnc::dc::tune

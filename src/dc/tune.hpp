@@ -64,7 +64,7 @@ std::string table_to_json(const Table& t);
 const Entry* lookup(const Table& t, long n, const std::string& precision, int workers);
 
 /// One-line rendering of an entry ("n=600 family=type4 nb=96"),
-/// used for the SolveReport stamp and /healthz.
+/// used for the SolveReport stamp.
 std::string entry_label(const Entry& e);
 
 /// Solve-time hook, called by every driver entry point: when DNC_TUNE_TABLE
@@ -79,10 +79,6 @@ bool apply_env_tuning(Options& opt, index_t n);
 /// Transfers the pending consultation (if any) of this thread's last
 /// apply_env_tuning() onto the report: sets tuned/tune_source/tune_entry.
 void stamp_report(obs::SolveReport& rep);
-
-/// Entry label of the most recent consultation in this process ("" when no
-/// tuned solve ran yet). Feeds /healthz.
-std::string last_applied_entry();
 
 }  // namespace tune
 }  // namespace dnc::dc

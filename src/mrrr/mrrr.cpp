@@ -439,7 +439,7 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
     stats->depth_used = depth_used;
     stats->trace = trace;
     stats->seconds = seconds;
-    for (int w : sim) stats->simulated.push_back(rt::simulate_schedule(graph, w));
+    for (int w : sim) stats->simulated.push_back(rt::simulate_schedule(trace, w));
   }
   if (stats || want_export) {
     obs::SolveReport local;
@@ -466,6 +466,7 @@ void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>
   // for the epilogue to record it, so substitute a local Stats when the
   // caller passed none. mrrr_solve keeps (d, e) intact, so the health probe
   // needs no snapshot -- it reads the caller's buffers after the solve.
+  require_finite_tridiagonal(n, d, e, "mrrr_solve");
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
   Stats local;
   Stats* st = stats ? stats : (telemetry ? &local : nullptr);

@@ -25,13 +25,12 @@ double duration(const rt::TraceEvent& e) { return std::max(0.0, e.t_end - e.t_st
 /// Child subtasks (spawn_and_wait) are excluded from the DAG analyses: a
 /// parent's [t_start, t_end] window is inclusive of the children it fanned
 /// out, so counting both would double the work, and children carry no
-/// dependency edges. Using the parent's inclusive duration keeps the
-/// engine-vs-simulator critical-path cross-check exact for nested graphs.
+/// dependency edges. rt::simulate_schedule skips them the same way, so the
+/// two critical-path numbers agree exactly for nested graphs.
 bool analyzed(const rt::TraceEvent& e) { return !e.is_child(); }
 
 /// Predecessor/successor adjacency over Trace::edges, restricted to edges
-/// whose both endpoints exist in the trace. Successor lists preserve edge
-/// order so the FIFO replay visits tasks exactly like rt::simulate_schedule.
+/// whose both endpoints exist in the trace.
 struct Adjacency {
   std::vector<int> npred;
   std::vector<std::vector<std::size_t>> succ;
@@ -292,113 +291,6 @@ SpanLaw span_law(const rt::Trace& trace) {
   law.t_inf = cp.length;
   law.parallelism = cp.length > 0.0 ? cp.total_work / cp.length : 0.0;
   return law;
-}
-
-rt::SimulationResult replay_trace(const rt::Trace& trace, int workers,
-                                  const rt::MachineModel& model, rt::SimPolicy policy) {
-  DNC_REQUIRE(workers >= 1, "replay_trace: workers >= 1");
-  const std::size_t n = trace.events.size();
-  rt::SimulationResult res;
-  if (n == 0) return res;
-  const Adjacency adj = adjacency(trace);
-
-  std::vector<double> dur(n);
-  std::vector<char> membound(n, 0);
-  std::size_t replayed = 0;  // child subtasks are not replayed (see analyzed())
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!analyzed(trace.events[i])) continue;
-    ++replayed;
-    dur[i] = duration(trace.events[i]);
-    res.total_work += dur[i];
-    const int k = trace.events[i].kind;
-    membound[i] = (k >= 0 && k < static_cast<int>(trace.kind_memory_bound.size()) &&
-                   trace.kind_memory_bound[k] != 0)
-                      ? 1
-                      : 0;
-  }
-  if (replayed == 0) return res;
-  res.critical_path = critical_path(trace).length;
-
-  // From here on the code is rt::simulate_schedule's scheduling loop,
-  // verbatim on trace indices: ready queue seeded in event order with the
-  // same (priority desc, arrival asc) discipline, bandwidth factor applied
-  // at task start from the instantaneous count.
-  const int total_streams = std::min(workers, model.sockets * model.bw_streams_per_socket);
-
-  struct Running {
-    double finish;
-    std::size_t task;
-    int worker;
-  };
-  struct Later {
-    bool operator()(const Running& a, const Running& b) const { return a.finish > b.finish; }
-  };
-  std::priority_queue<Running, std::vector<Running>, Later> running;
-  struct ReadyEntry {
-    int prio;
-    std::uint64_t seq;
-    std::size_t task;
-  };
-  struct ReadyOrder {
-    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
-      if (a.prio != b.prio) return a.prio < b.prio;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyOrder> ready;
-  std::uint64_t ready_seq = 0;
-  const auto push_ready = [&](std::size_t i) {
-    const int prio = policy == rt::SimPolicy::Priority ? trace.events[i].priority : 0;
-    ready.push({prio, ready_seq++, i});
-  };
-  std::vector<int> remaining(adj.npred);
-  for (std::size_t i = 0; i < n; ++i)
-    if (remaining[i] == 0 && analyzed(trace.events[i])) push_ready(i);
-
-  res.schedule.workers = workers;
-  res.schedule.kind_names = trace.kind_names;
-  res.schedule.kind_memory_bound = trace.kind_memory_bound;
-  std::vector<int> free_workers(workers);
-  for (int w = 0; w < workers; ++w) free_workers[w] = workers - 1 - w;
-
-  double clock = 0.0;
-  int idle_workers = workers;
-  int running_membound = 0;
-  std::size_t completed = 0;
-  while (completed < replayed) {
-    while (idle_workers > 0 && !ready.empty()) {
-      const std::size_t t = ready.top().task;
-      ready.pop();
-      --idle_workers;
-      double d = dur[t];
-      if (membound[t]) {
-        ++running_membound;
-        const double factor =
-            std::max(1.0, static_cast<double>(running_membound) / total_streams);
-        d *= factor;
-      }
-      const int w = free_workers.back();
-      free_workers.pop_back();
-      running.push({clock + d, t, w});
-      rt::TraceEvent ev{trace.events[t].task_id, trace.events[t].kind, w, clock, clock + d};
-      ev.priority = trace.events[t].priority;
-      res.schedule.events.push_back(ev);
-    }
-    DNC_REQUIRE(!running.empty(), "replay_trace: deadlock (cyclic edge set?)");
-    const Running r = running.top();
-    running.pop();
-    clock = r.finish;
-    ++idle_workers;
-    free_workers.push_back(r.worker);
-    if (membound[r.task]) --running_membound;
-    ++completed;
-    for (std::size_t s : adj.succ[r.task]) {
-      if (--remaining[s] == 0) push_ready(s);
-    }
-  }
-  res.makespan = clock;
-  res.efficiency = res.total_work / (res.makespan * workers);
-  return res;
 }
 
 }  // namespace dnc::obs

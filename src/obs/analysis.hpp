@@ -13,25 +13,18 @@
 //                          how much concurrency the DAG actually exposed
 //                          at every instant;
 //   * span_law          -- T1, T-inf, average parallelism, and the
-//                          work/span bounds on P-worker makespan (Brent);
-//   * replay_trace      -- priority-aware list-scheduling replay on P
-//                          virtual workers, equivalent to
-//                          rt::simulate_schedule but driven by the Trace
-//                          alone, so it also works on traces loaded from
-//                          disk (tools/dnc_trace).
+//                          work/span bounds on P-worker makespan (Brent).
 //
-// All quantities use the same durations as rt::simulate_schedule
-// (max(0, t_end - t_start), never-executed events contribute zero work), so
-// critical_path().length agrees with SimulationResult::critical_path to
-// rounding and replay_trace matches simulate_schedule exactly on the same
-// DAG and machine model.
+// The P-worker replay itself is rt::simulate_schedule, which takes the same
+// Trace. All quantities here use its durations (max(0, t_end - t_start),
+// never-executed events contribute zero work), so critical_path().length
+// equals SimulationResult::critical_path exactly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "runtime/simulator.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::obs {
@@ -101,16 +94,5 @@ struct SpanLaw {
 };
 
 SpanLaw span_law(const rt::Trace& trace);
-
-/// Replays the traced DAG on `workers` virtual cores under priority-aware
-/// list scheduling (rt::SimPolicy; priorities from TraceEvent::priority)
-/// with the simulator's bandwidth-sharing model (memory-bound kinds from
-/// Trace::kind_memory_bound). Identical policy and arithmetic to
-/// rt::simulate_schedule -- the cross-check tests assert equality -- but
-/// requiring only the Trace, so what-if sweeps work on loaded traces,
-/// including what-if-the-scheduler-ignored-priorities (SimPolicy::Fifo).
-rt::SimulationResult replay_trace(const rt::Trace& trace, int workers,
-                                  const rt::MachineModel& model = rt::MachineModel{},
-                                  rt::SimPolicy policy = rt::SimPolicy::Priority);
 
 }  // namespace dnc::obs

@@ -181,16 +181,6 @@ std::string observe(const SolveReport& report, const rt::Trace* trace) {
   return jsonl_path;
 }
 
-std::string ring_jsonl(bool best_effort) {
-  State& s = state();
-  if (best_effort) {
-    std::unique_lock<std::mutex> lk(s.mu, std::try_to_lock);
-    return lk.owns_lock() ? ring_jsonl_locked(s) : std::string();
-  }
-  std::lock_guard<std::mutex> lk(s.mu);
-  return ring_jsonl_locked(s);
-}
-
 std::size_t ring_size() {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);

@@ -53,12 +53,6 @@ std::string observe(const SolveReport& report, const rt::Trace* trace);
 /// to_json() report becomes one JSONL line. Exposed for tests.
 std::string compact_json(const std::string& pretty);
 
-/// The current ring as JSONL, newest last -- the same shape observe()
-/// writes to a dump file. Serves the /flight endpoint and the crash dump.
-/// With `best_effort` (crash handler), an already-held ring lock yields ""
-/// instead of deadlocking the dying process.
-std::string ring_jsonl(bool best_effort = false);
-
 // Test hooks.
 std::size_t ring_size();
 unsigned long dump_count();

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <mutex>
 
 #include "common/env.hpp"
@@ -21,17 +20,15 @@ namespace dnc::obs::history {
 namespace {
 
 constexpr long kDefaultMaxBytes = 16L * 1024 * 1024;
-constexpr std::size_t kRingCap = 256;
 
 struct Config {
   std::string path;
   long max_bytes = kDefaultMaxBytes;
 };
 
-std::mutex g_mutex;  // guards the config, the ring, and file rotation
+std::mutex g_mutex;  // guards the config and file rotation
 Config g_config;
 std::atomic<int> g_enabled{-1};  // -1 uninitialised, else 0/1
-std::deque<std::string> g_ring;  // compact JSONL lines, newest last
 
 thread_local std::string t_family_hint;
 
@@ -170,23 +167,7 @@ bool append(const Record& rec) {
 }
 
 void note(const SolveReport& report) {
-  const Record rec = record_from_report(report);
-  {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_ring.push_back(rec.to_json_line());
-    while (g_ring.size() > kRingCap) g_ring.pop_front();
-  }
-  if (enabled()) append(rec);
-}
-
-std::string ring_jsonl() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  std::string out;
-  for (const std::string& line : g_ring) {
-    out += line;
-    out += '\n';
-  }
-  return out;
+  if (enabled()) append(record_from_report(report));
 }
 
 bool Key::matches(const Record& r) const {
@@ -355,17 +336,6 @@ std::string render_series(const std::vector<Record>& series, const std::string& 
   appendf(out, "min %.6f s   median %.6f s   max %.6f s   (max/min %.2fx)\n", lo, median,
           hi, lo > 0.0 ? hi / lo : 0.0);
   return out;
-}
-
-std::size_t ring_size() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return g_ring.size();
-}
-
-void reset_for_tests() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_ring.clear();
-  init_locked();
 }
 
 }  // namespace dnc::obs::history

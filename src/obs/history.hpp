@@ -18,9 +18,6 @@
 //                          to <path>.1 (replacing any previous .1) and a
 //                          fresh file is started -- bounded disk, and the
 //                          previous generation stays inspectable.
-//
-// A small in-process ring of the most recent records (independent of the
-// file gate) feeds the /history httpd endpoint.
 #pragma once
 
 #include <string>
@@ -81,12 +78,9 @@ Record record_from_report(const SolveReport& report);
 /// the write failed.
 bool append(const Record& rec);
 
-/// The telemetry entry point: pushes the record onto the in-process ring
-/// (always, cheap) and appends to the archive file when enabled().
+/// The telemetry entry point: distils the report and appends it to the
+/// archive file when enabled(); a no-op otherwise.
 void note(const SolveReport& report);
-
-/// The in-process ring as JSONL, newest last; serves /history.
-std::string ring_jsonl();
 
 /// Wildcarded record filter: empty strings / zero numbers match anything.
 /// `family` and `n` are what bench cells key on; commit narrows to one
@@ -122,9 +116,5 @@ std::vector<Record> latest_per_commit(const std::vector<Record>& records,
 /// column). `title` heads the block.
 std::string render_series(const std::vector<Record>& series,
                           const std::string& title);
-
-// Test hooks.
-std::size_t ring_size();
-void reset_for_tests();
 
 }  // namespace dnc::obs::history

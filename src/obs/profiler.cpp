@@ -25,7 +25,6 @@
 
 #include "common/env.hpp"
 
-#include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
@@ -87,7 +86,6 @@ struct State {
   int hz = kDefaultHz;                                // active session rate
   bool handler_installed = false;
   bool continuous_boot = false;
-  std::mutex session_mu;  // serializes profile_for windows
 };
 
 // Leaked: the at-exit dump and detached drainer may outlive static dtors.
@@ -294,9 +292,8 @@ std::string symbolize(void* pc, bool call_site) {
 }
 
 /// Renders `rows` (already aggregated) as folded lines, largest count
-/// first. Subtracting `before` (may be null) yields window profiles.
-std::string render_folded(const std::map<AggKey, std::uint64_t>& rows,
-                          const std::map<AggKey, std::uint64_t>* before, int hz,
+/// first.
+std::string render_folded(const std::map<AggKey, std::uint64_t>& rows, int hz,
                           std::uint64_t dropped) {
   struct Line {
     std::string text;
@@ -305,13 +302,7 @@ std::string render_folded(const std::map<AggKey, std::uint64_t>& rows,
   std::vector<Line> lines;
   std::map<void*, std::string> leaf_cache, site_cache;
   std::uint64_t total = 0;
-  for (const auto& [key, count_now] : rows) {
-    std::uint64_t count = count_now;
-    if (before) {
-      auto it = before->find(key);
-      if (it != before->end()) count = count_now >= it->second ? count_now - it->second : 0;
-    }
-    if (count == 0) continue;
+  for (const auto& [key, count] : rows) {
     total += count;
     const char* tag = reinterpret_cast<const char*>(key[0]);
     const char* task = reinterpret_cast<const char*>(key[1]);
@@ -371,7 +362,7 @@ int env_hz() noexcept {
   return v > 0 ? v : kDefaultHz;
 }
 
-bool registration_wanted() noexcept { return env_enabled() || httpd::enabled(); }
+bool registration_wanted() noexcept { return env_enabled() || active(); }
 
 void refresh_from_env() noexcept {
   g_env_hz.store(parse_env_hz(), std::memory_order_relaxed);
@@ -499,7 +490,7 @@ std::string folded_text() {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
   drain_all_locked(s);
-  return render_folded(s.agg, nullptr, s.hz, dropped_total_locked(s));
+  return render_folded(s.agg, s.hz, dropped_total_locked(s));
 }
 
 std::string perfetto_samples_json() {
@@ -544,29 +535,6 @@ std::string perfetto_samples_json() {
   }
   out += "\n]}\n";
   return out;
-}
-
-std::string profile_for(double seconds, int hz) {
-  State& s = state();
-  std::lock_guard<std::mutex> session(s.session_mu);
-  std::map<AggKey, std::uint64_t> before;
-  std::uint64_t dropped_before = 0;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    drain_all_locked(s);
-    before = s.agg;
-    dropped_before = dropped_total_locked(s);
-  }
-  bool started = false;
-  if (!active()) started = start(hz);
-  seconds = std::clamp(seconds, 0.05, 120.0);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  if (started)
-    stop();
-  else
-    drain();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return render_folded(s.agg, &before, s.hz, dropped_total_locked(s) - dropped_before);
 }
 
 void ensure_continuous() {

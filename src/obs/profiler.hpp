@@ -2,11 +2,10 @@
 // safe frame-pointer backtraces, flamegraph-compatible folded-stack export.
 //
 // Post-mortem traces answer "where did the tasks go"; this profiler answers
-// "where did the *cycles* go inside the task bodies" -- live, on a running
-// process, without recompiling. Every scheduler worker and thread-pool
-// worker registers itself (ThreadRegistration below); while a profiling
-// session is active, each registered thread owns a POSIX timer on its own
-// CPU-time clock (timer_create on pthread_getcpuclockid, SIGEV_THREAD_ID)
+// "where did the *cycles* go inside the task bodies" -- without
+// recompiling. Every scheduler worker registers itself while sampling is
+// wanted (ThreadRegistration below); while a profiling session is active,
+// each registered thread owns a POSIX timer on its own CPU-time clock (timer_create on pthread_getcpuclockid, SIGEV_THREAD_ID)
 // that delivers SIGPROF to that thread at DNC_PROFILE_HZ. The handler walks
 // the frame-pointer chain from the interrupted context (bounded by the
 // thread's stack extents, so a frame-pointer-less libc frame terminates the
@@ -22,18 +21,17 @@
 //   worker:3;task:UpdateVect;dnc::blas::gemm(...);... 42
 //
 // Knobs:
-//   DNC_PROFILE_HZ  unset/0/off = no continuous profiling (on-demand
-//                   sessions via start()/profile_for() or the /profile
-//                   endpoint still work); a number = sample each busy
-//                   thread at that rate for the life of the process;
-//                   1/on/true = the default 97 Hz (prime, so it does not
+//   DNC_PROFILE_HZ  unset/0/off = no continuous profiling (explicit
+//                   start()/stop() sessions still work); a number = sample
+//                   each busy thread at that rate for the life of the
+//                   process; 1/on/true = the default 97 Hz (prime, so it does not
 //                   beat against 10ms-quantised work).
 //   DNC_PROFILE     folded-stack dump path for continuous mode, written at
 //                   process exit (default dnc_profile.folded; %p -> pid).
 //
-// Zero-cost contract: with DNC_PROFILE_HZ unset and the HTTP introspection
-// server off, ThreadRegistration is one relaxed load + branch and nothing
-// allocates (the back-to-back perf gate polices this).
+// Zero-cost contract: with DNC_PROFILE_HZ unset and no session running,
+// ThreadRegistration is two relaxed loads + a branch and nothing allocates
+// (the back-to-back perf gate polices this).
 #pragma once
 
 #include <cstdint>
@@ -56,9 +54,9 @@ bool env_enabled() noexcept;
 /// Configured rate: DNC_PROFILE_HZ's value, kDefaultHz for bare "1"/"on".
 int env_hz() noexcept;
 /// True when worker threads should register themselves: continuous
-/// profiling is configured OR the HTTP introspection server is enabled (its
-/// /profile endpoint needs registered threads to sample on demand). One
-/// relaxed load + branch when everything is off.
+/// profiling is configured OR a start() session is running (threads created
+/// during the session are then sampled). Two relaxed loads when everything
+/// is off.
 bool registration_wanted() noexcept;
 /// Re-reads DNC_PROFILE_HZ / DNC_PROFILE (tests setenv mid-process).
 void refresh_from_env() noexcept;
@@ -125,13 +123,6 @@ std::string folded_text();
 /// mergeable with a Perfetto export of the same run by concatenating the
 /// event arrays.
 std::string perfetto_samples_json();
-
-/// Bounded on-demand session: ensures sampling is running (at `hz` if it
-/// has to start one), sleeps `seconds`, and returns the folded text of only
-/// the samples collected in the window. If continuous profiling was already
-/// active the session piggybacks on it (and leaves it running). Serialized:
-/// concurrent callers queue. Drives the /profile?seconds=N endpoint.
-std::string profile_for(double seconds, int hz = 0);
 
 /// Continuous-mode bootstrap: when DNC_PROFILE_HZ is set, starts the
 /// session, the background ring drainer and the at-exit folded dump (to

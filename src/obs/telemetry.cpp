@@ -2,10 +2,8 @@
 
 #include <string>
 
-#include "obs/crash.hpp"
 #include "obs/flight.hpp"
 #include "obs/history.hpp"
-#include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 
 namespace dnc::obs {
@@ -64,8 +62,7 @@ void record_metrics(const SolveReport& rep) {
 }  // namespace
 
 bool solve_telemetry_wanted() noexcept {
-  return metrics::enabled() || flight::enabled() || httpd::enabled() ||
-         crash::enabled() || history::enabled();
+  return metrics::enabled() || flight::enabled() || history::enabled();
 }
 
 const char* solve_size_class(long n) noexcept {
@@ -78,22 +75,13 @@ const char* solve_size_class(long n) noexcept {
 
 void record_solve_telemetry(const SolveReport& report, const rt::Trace* trace) {
   record_metrics(report);
-  // History: ring always (it feeds /history), archive file when DNC_HISTORY
-  // names one. One compact line per solve either way.
+  // History: one compact archive line per solve when DNC_HISTORY names a file.
   history::note(report);
   if (flight::enabled()) {
     std::string dumped = flight::observe(report, trace);
     if (!dumped.empty() && m::enabled())
       m::add(m::register_metric(m::Kind::Counter, "dnc_flight_dumps_total", "",
                                 "Flight-recorder anomaly dumps written"));
-  }
-  // Live introspection boots from the first observed solve: a process run
-  // with only DNC_HTTP (or DNC_CRASH_DUMP) set needs no other call site.
-  if (crash::enabled()) crash::ensure_installed();
-  if (httpd::enabled()) {
-    httpd::ensure_started();
-    httpd::note_solve(report);
-    if (httpd::trace_capture_armed()) httpd::offer_captured_trace(report, trace);
   }
 }
 

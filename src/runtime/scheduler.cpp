@@ -32,8 +32,8 @@ struct WorkerCtx {
   /// per task, no reads) unless requested.
   obs::ThreadHwc hwc;
   bool sampling = false;
-  /// Sampling-profiler registration (DNC_PROFILE_HZ / DNC_HTTP's
-  /// /profile). Kind names are interned because the TaskGraph (and its
+  /// Sampling-profiler registration (DNC_PROFILE_HZ or a running
+  /// profiler::start() session). Kind names are interned because the TaskGraph (and its
   /// kind table) dies with the solve while samples outlive it.
   obs::profiler::ThreadRegistration preg;
   std::vector<const char*> kind_names;

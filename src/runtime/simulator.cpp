@@ -3,51 +3,72 @@
 #include <algorithm>
 #include <queue>
 #include <unordered_map>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace dnc::rt {
 
-SimulationResult simulate_schedule(const TaskGraph& graph, int workers,
+SimulationResult simulate_schedule(const Trace& trace, int workers,
                                    const MachineModel& model, SimPolicy policy) {
   DNC_REQUIRE(workers >= 1, "simulate_schedule: workers >= 1");
-  const auto& nodes = graph.nodes();
-  const std::size_t n = nodes.size();
+  const std::vector<TraceEvent>& events = trace.events;
+  const std::size_t n = events.size();
   SimulationResult res;
-  if (n == 0) return res;
+  res.schedule.workers = workers;
+  res.schedule.kind_names = trace.kind_names;
+  res.schedule.kind_memory_bound = trace.kind_memory_bound;
 
-  // Index tasks by id for edge lookups.
+  // Child subtasks (spawn_and_wait) are not replayed: a parent's window
+  // already includes the children it fanned out, and children carry no
+  // dependency edges.
+  std::vector<double> dur(n, 0.0);
+  std::vector<char> membound(n, 0);
+  std::size_t replayed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceEvent& e = events[i];
+    if (e.is_child()) continue;
+    ++replayed;
+    dur[i] = std::max(0.0, e.t_end - e.t_start);
+    res.total_work += dur[i];
+    membound[i] = e.kind >= 0 && e.kind < static_cast<int>(trace.kind_memory_bound.size()) &&
+                  trace.kind_memory_bound[e.kind] != 0;
+  }
+  if (replayed == 0) return res;
+
+  // Adjacency over the edges whose endpoints are both in the trace.
+  // Successor lists keep edge order, which is submission order for engine
+  // traces, so FIFO ties break the way the engine submitted them.
   std::unordered_map<std::uint64_t, std::size_t> index;
   index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) index.emplace(nodes[i]->id, i);
-
-  std::vector<double> dur(n);
+  for (std::size_t i = 0; i < n; ++i) index.emplace(events[i].task_id, i);
   std::vector<int> npred(n, 0);
   std::vector<std::vector<std::size_t>> succ(n);
-  std::vector<char> membound(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    dur[i] = std::max(0.0, nodes[i]->t_end - nodes[i]->t_start);
-    res.total_work += dur[i];
-    membound[i] = graph.kind_of(*nodes[i]).memory_bound ? 1 : 0;
-    for (std::uint64_t pid : nodes[i]->pred_ids) {
-      const auto it = index.find(pid);
-      DNC_ASSERT(it != index.end());
-      succ[it->second].push_back(i);
-      ++npred[i];
-    }
+  for (const auto& [pred, next] : trace.edges) {
+    const auto pi = index.find(pred);
+    const auto si = index.find(next);
+    if (pi == index.end() || si == index.end()) continue;
+    succ[pi->second].push_back(si->second);
+    ++npred[si->second];
   }
 
-  // Critical path by longest path over the DAG (nodes are in topological
-  // order because submission order respects dependencies).
+  // Critical path by longest path in Kahn order (loaded traces need not be
+  // topologically sorted; a cycle just leaves its tasks out).
   {
     std::vector<double> dist(n, 0.0);
-    double best = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
+    std::vector<int> remaining(npred);
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < n; ++i)
+      if (remaining[i] == 0) order.push_back(i);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::size_t i = order[k];
       dist[i] += dur[i];
-      best = std::max(best, dist[i]);
-      for (std::size_t s : succ[i]) dist[s] = std::max(dist[s], dist[i]);
+      res.critical_path = std::max(res.critical_path, dist[i]);
+      for (std::size_t s : succ[i]) {
+        dist[s] = std::max(dist[s], dist[i]);
+        if (--remaining[s] == 0) order.push_back(s);
+      }
     }
-    res.critical_path = best;
   }
 
   // Bandwidth model: when m memory-bound tasks run concurrently and the
@@ -84,18 +105,13 @@ SimulationResult simulate_schedule(const TaskGraph& graph, int workers,
   std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyOrder> ready;
   std::uint64_t ready_seq = 0;
   const auto push_ready = [&](std::size_t i) {
-    const int prio = policy == SimPolicy::Priority ? nodes[i]->priority : 0;
+    const int prio = policy == SimPolicy::Priority ? events[i].priority : 0;
     ready.push({prio, ready_seq++, i});
   };
-  std::vector<int> remaining(npred.begin(), npred.end());
+  std::vector<int> remaining(npred);
   for (std::size_t i = 0; i < n; ++i)
-    if (remaining[i] == 0) push_ready(i);
+    if (remaining[i] == 0 && !events[i].is_child()) push_ready(i);
 
-  res.schedule.workers = workers;
-  for (const TaskKind& k : graph.kinds()) {
-    res.schedule.kind_names.push_back(k.name);
-    res.schedule.kind_memory_bound.push_back(k.memory_bound ? 1 : 0);
-  }
   std::vector<int> free_workers(workers);
   for (int w = 0; w < workers; ++w) free_workers[w] = workers - 1 - w;
 
@@ -103,7 +119,7 @@ SimulationResult simulate_schedule(const TaskGraph& graph, int workers,
   int idle_workers = workers;
   int running_membound = 0;
   std::size_t completed = 0;
-  while (completed < n) {
+  while (completed < replayed) {
     // Launch as many ready tasks as there are idle workers.
     while (idle_workers > 0 && !ready.empty()) {
       const std::size_t t = ready.top().task;
@@ -119,11 +135,11 @@ SimulationResult simulate_schedule(const TaskGraph& graph, int workers,
       const int w = free_workers.back();
       free_workers.pop_back();
       running.push({clock + d, t, w});
-      TraceEvent ev{nodes[t]->id, nodes[t]->kind, w, clock, clock + d};
-      ev.priority = nodes[t]->priority;
+      TraceEvent ev{events[t].task_id, events[t].kind, w, clock, clock + d};
+      ev.priority = events[t].priority;
       res.schedule.events.push_back(ev);
     }
-    DNC_REQUIRE(!running.empty(), "simulate_schedule: deadlock (cyclic graph?)");
+    DNC_REQUIRE(!running.empty(), "simulate_schedule: deadlock (cyclic edge set?)");
     const Running r = running.top();
     running.pop();
     clock = r.finish;

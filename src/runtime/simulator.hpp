@@ -10,7 +10,6 @@
 // DESIGN.md documents this substitution; EXPERIMENTS.md compares shapes.
 #pragma once
 
-#include "runtime/graph.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::rt {
@@ -49,12 +48,17 @@ struct SimulationResult {
   Trace schedule;
 };
 
-/// Replays the completed graph (durations = measured t_end - t_start) on
-/// `workers` virtual cores using priority-aware list scheduling (the
-/// engine's policy; see SimPolicy). Memory-bound kinds are slowed by the
-/// bandwidth-sharing factor of the machine model; compute-bound kinds keep
-/// their measured duration.
-SimulationResult simulate_schedule(const TaskGraph& graph, int workers,
+/// Replays a recorded DAG (events with durations t_end - t_start, edges
+/// from Trace::edges) on `workers` virtual cores using priority-aware list
+/// scheduling (the engine's policy; see SimPolicy). Memory-bound kinds
+/// (Trace::kind_memory_bound) are slowed by the bandwidth-sharing factor of
+/// the machine model; compute-bound kinds keep their measured duration.
+/// Child subtasks (TraceEvent::is_child) are skipped because their parent's
+/// window already contains them. Works the same on a fresh engine trace and
+/// on one loaded from disk (tools/dnc_trace), so what-if sweeps --
+/// including what-if-the-scheduler-ignored-priorities (SimPolicy::Fifo) --
+/// need only the trace.
+SimulationResult simulate_schedule(const Trace& trace, int workers,
                                    const MachineModel& model = MachineModel{},
                                    SimPolicy policy = SimPolicy::Priority);
 

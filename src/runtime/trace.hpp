@@ -96,7 +96,7 @@ struct Trace {
   /// Per-kind memory-bound classification, index-aligned with kind_names
   /// (1 = bandwidth-limited). May be empty for traces predating the flag;
   /// consumers must treat a missing entry as compute-bound. Carrying this
-  /// on the trace lets the what-if replay (obs::replay_trace) apply the
+  /// on the trace lets the replay (rt::simulate_schedule) apply the
   /// simulator's bandwidth model without access to the original TaskGraph.
   std::vector<char> kind_memory_bound;
   std::vector<TraceEvent> events;

@@ -98,6 +98,7 @@ TEST(EnvTest, KnobReferenceIsSentinelTerminatedAndComplete) {
       if (!std::strcmp(k->name, trigger)) ++flight_triggers;
     if (!std::strcmp(k->name, "DNC_HISTORY")) saw_hist = true;
   }
+  EXPECT_EQ(count, 19);
   EXPECT_TRUE(saw_tune);
   EXPECT_TRUE(saw_topo);
   EXPECT_EQ(flight_triggers, 3);

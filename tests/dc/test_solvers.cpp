@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "../support/precision_testing.hpp"
 #include "common/error.hpp"
 #include "dc/api.hpp"
+#include "dc/driver_common.hpp"
 #include "matgen/tridiag.hpp"
+#include "mrrr/mrrr.hpp"
 #include "verify/metrics.hpp"
 
 namespace dnc::dc {
@@ -129,12 +133,15 @@ TEST(Stedc, SmallNormScaling) {
 }
 
 TEST(Stedc, TaskExceptionReachesCaller) {
-  // A NaN in d makes a leaf solve raise NumericalError. The runtime-backed
+  // Valid input never fails a leaf solve, so a fault injected into the leaf
+  // holding row 17 stands in for steqr's NumericalError. The runtime-backed
   // drivers raise it inside a worker's task; it must reach this thread like
   // the serial driver's does, instead of terminating the process.
   const index_t n = 800;
-  auto t = matgen::onetwoone(n);
-  t.d[17] = std::nan("");
+  const auto t = matgen::onetwoone(n);
+  detail::leaf_fault_for_tests = [](index_t i0, index_t m) {
+    if (i0 <= 17 && 17 < i0 + m) throw NumericalError("injected leaf failure", 17);
+  };
   const std::tuple<Driver, int> runs[] = {
       {Driver::Seq, 1}, {Driver::Taskflow, 1}, {Driver::Taskflow, 4}, {Driver::Lapack, 4}};
   for (const auto& [driver, threads] : runs) {
@@ -144,6 +151,40 @@ TEST(Stedc, TaskExceptionReachesCaller) {
     opt.threads = threads;
     EXPECT_THROW(run_driver(driver, n, d.data(), e.data(), v, opt), NumericalError)
         << "driver " << static_cast<int>(driver) << ", " << threads << " threads";
+  }
+  detail::leaf_fault_for_tests = nullptr;
+}
+
+// Input contract: a NaN or Inf anywhere in (d, e) is rejected with
+// InvalidArgument on the calling thread before any work, by all five
+// drivers. Unchecked, such input yields NaN or wrong eigenvalues without an
+// error, and MRRR's bisection never terminates on an Inf in e.
+TEST(InputContract, NonFiniteEntryThrowsInvalidArgumentInEveryDriver) {
+  const index_t n = 800;
+  const matgen::Tridiag base = matgen::table3_matrix(4, n);
+  for (const bool in_d : {true, false}) {
+    matgen::Tridiag t = base;
+    if (in_d)
+      t.d[17] = std::nan("");
+    else
+      t.e[17] = std::numeric_limits<double>::infinity();
+    for (int drv = 0; drv < 4; ++drv) {
+      std::vector<double> d = t.d, e = t.e;
+      Matrix v;
+      Options opt;
+      opt.threads = 4;
+      EXPECT_THROW(run_driver(static_cast<Driver>(drv), n, d.data(), e.data(), v, opt),
+                   InvalidArgument)
+          << "driver " << drv << (in_d ? ", NaN in d" : ", Inf in e");
+      // Rejected before any work: the caller's buffers are untouched.
+      EXPECT_EQ(std::memcmp(d.data(), t.d.data(), n * sizeof(double)), 0) << "driver " << drv;
+    }
+    std::vector<double> lam;
+    Matrix v;
+    mrrr::Options mopt;
+    mopt.threads = 4;
+    EXPECT_THROW(mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, mopt), InvalidArgument)
+        << "mrrr" << (in_d ? ", NaN in d" : ", Inf in e");
   }
 }
 

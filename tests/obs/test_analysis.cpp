@@ -1,6 +1,8 @@
-// Trace analytics tests: critical path / parallelism profile / span law on
-// a hand-built DAG with known answers, agreement with rt::simulate_schedule
-// on real solver traces, and the Perfetto export -> trace_io round trip.
+// Trace analytics tests: critical path / parallelism profile / span law and
+// the rt::simulate_schedule replay on a hand-built DAG with known answers,
+// agreement between the analytics, the replay and the drivers' simulated
+// schedules on real solver traces, and the Perfetto export -> trace_io
+// round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -109,11 +111,11 @@ TEST(ParallelismProfile, HandBuiltDagStepFunction) {
 TEST(ReplayTrace, MatchesHandComputedSchedule) {
   const rt::Trace t = diamond_trace();
   // One worker: FIFO order 1,2,3,4,5,6 back to back.
-  const rt::SimulationResult r1 = obs::replay_trace(t, 1);
+  const rt::SimulationResult r1 = rt::simulate_schedule(t, 1);
   EXPECT_DOUBLE_EQ(r1.makespan, 9.5);
   // Two workers: 1 and 2 in parallel, 3 at 1.0-4.0, 4 at 2.0-3.0, 5 at
   // 4.0-6.0, 6 at 6.0-6.5 -- the span.
-  const rt::SimulationResult r2 = obs::replay_trace(t, 2);
+  const rt::SimulationResult r2 = rt::simulate_schedule(t, 2);
   EXPECT_DOUBLE_EQ(r2.makespan, 6.5);
   EXPECT_DOUBLE_EQ(r2.critical_path, 6.5);
 }
@@ -145,10 +147,12 @@ TEST_F(SolveTraceTest, CriticalPathAgreesWithSimulator) {
 }
 
 TEST_F(SolveTraceTest, ReplayMatchesSimulatorAtEveryWorkerCount) {
+  // The driver's simulated schedules come from the one replay engine run on
+  // the solve's trace, so replaying the returned trace reproduces them.
   const int counts[] = {1, 2, 4, 16};
   ASSERT_EQ(stats_.simulated.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    const rt::SimulationResult replay = obs::replay_trace(stats_.trace, counts[i]);
+    const rt::SimulationResult replay = rt::simulate_schedule(stats_.trace, counts[i]);
     EXPECT_NEAR(replay.makespan, stats_.simulated[i].makespan, 1e-12)
         << "workers=" << counts[i];
     EXPECT_NEAR(replay.critical_path, stats_.simulated[i].critical_path, 1e-12);
@@ -182,8 +186,8 @@ TEST_F(SolveTraceTest, PerfettoRoundTripPreservesAnalysis) {
   EXPECT_NEAR(cp1.total_work, cp0.total_work, 1e-6);
   EXPECT_EQ(cp1.chain.size(), cp0.chain.size());
 
-  const rt::SimulationResult r0 = obs::replay_trace(stats_.trace, 4);
-  const rt::SimulationResult r1 = obs::replay_trace(loaded, 4);
+  const rt::SimulationResult r0 = rt::simulate_schedule(stats_.trace, 4);
+  const rt::SimulationResult r1 = rt::simulate_schedule(loaded, 4);
   EXPECT_NEAR(r1.makespan, r0.makespan, 1e-6);
 }
 

@@ -1,6 +1,6 @@
 // Solve-history archive tests: record distillation (family hint included),
 // append/load round trip, size-capped rotation, key parsing/filtering, the
-// per-commit trend view, and the in-process ring behind /history.
+// per-commit trend view, and the note() telemetry entry point.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -35,7 +35,7 @@ class HistoryTest : public ::testing::Test {
              std::to_string(::getpid()) + ".jsonl";
     std::remove(path_.c_str());
     std::remove((path_ + ".1").c_str());
-    hist::reset_for_tests();
+    hist::refresh_from_env();
   }
   void TearDown() override {
     std::remove(path_.c_str());
@@ -46,7 +46,7 @@ class HistoryTest : public ::testing::Test {
       else
         ::unsetenv(saved_[i].first);
     }
-    hist::reset_for_tests();
+    hist::refresh_from_env();
     hist::set_family_hint(nullptr);
   }
 
@@ -162,13 +162,10 @@ TEST_F(HistoryTest, RotationAtSizeCap) {
   EXPECT_EQ(gen1.size() + cur.size(), 20u);
 }
 
-TEST_F(HistoryTest, NoteFeedsRingAlwaysAndFileWhenEnabled) {
-  hist::note(sample_report());  // disabled: ring only
-  EXPECT_EQ(hist::ring_size(), 1u);
-  EXPECT_NE(hist::ring_jsonl().find("\"driver\": \"taskflow\""), std::string::npos);
+TEST_F(HistoryTest, NoteAppendsToFileOnlyWhenEnabled) {
+  hist::note(sample_report());  // disabled: a no-op
   enable();
   hist::note(sample_report());
-  EXPECT_EQ(hist::ring_size(), 2u);
   std::vector<hist::Record> recs;
   ASSERT_TRUE(hist::load_file(path_, recs));
   EXPECT_EQ(recs.size(), 1u);  // only the post-enable note hit the file

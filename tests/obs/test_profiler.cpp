@@ -1,27 +1,18 @@
 // Sampling-profiler tests: the zero-cost gate, interning, folded-stack
 // export of a profiled taskflow solve (worker + task-kind attribution and a
-// sample count consistent with wall time x HZ), windowed profile_for, and
-// the DNC_CRASH_DUMP last-gasp handler (death test).
+// sample count consistent with CPU time x HZ), and thread registration.
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
-#include "obs/crash.hpp"
-#include "obs/httpd.hpp"
 #include "obs/profiler.hpp"
 
 namespace dnc {
@@ -31,9 +22,7 @@ namespace prof = obs::profiler;
 
 class ProfilerTest : public ::testing::Test {
  protected:
-  static constexpr const char* kVars[] = {"DNC_HTTP", "DNC_PROFILE_HZ",
-                                          "DNC_PROFILE", "DNC_CRASH_DUMP",
-                                          "DNC_METRICS"};
+  static constexpr const char* kVars[] = {"DNC_PROFILE_HZ", "DNC_PROFILE", "DNC_METRICS"};
   void SetUp() override {
     for (const char* var : kVars) {
       const char* v = std::getenv(var);
@@ -41,7 +30,6 @@ class ProfilerTest : public ::testing::Test {
       saved_set_.push_back(v != nullptr);
       ::unsetenv(var);
     }
-    obs::httpd::refresh_from_env();
     prof::reset_for_tests();
   }
   void TearDown() override {
@@ -52,17 +40,14 @@ class ProfilerTest : public ::testing::Test {
       else
         ::unsetenv(saved_[i].first);
     }
-    obs::httpd::refresh_from_env();
     prof::refresh_from_env();
   }
 
-  /// Arms registration via the DNC_HTTP gate (on-demand mode), avoiding
-  /// DNC_PROFILE_HZ so continuous mode (background drainer + atexit dump)
-  /// never boots inside the test binary.
-  void want_registration() {
-    ::setenv("DNC_HTTP", "127.0.0.1:0", 1);
-    obs::httpd::refresh_from_env();
-    prof::refresh_from_env();
+  /// Starts an explicit session, which also makes threads created from now
+  /// on register. Avoids DNC_PROFILE_HZ so continuous mode (background
+  /// drainer + atexit dump) never boots inside the test binary.
+  void start_session(int hz) {
+    ASSERT_TRUE(prof::start(hz));
     ASSERT_TRUE(prof::registration_wanted());
   }
 
@@ -107,7 +92,8 @@ TEST_F(ProfilerTest, InternIsStable) {
 // ctest on small machines). Wide bounds absorb kernel-tick quantisation
 // of CPU-time timers.
 TEST_F(ProfilerTest, SampleCountTracksCpuTimeTimesHz) {
-  want_registration();
+  const int hz = 97;
+  start_session(hz);
   std::atomic<bool> stop{false};
   std::atomic<double> cpu_seconds{0.0};
   std::thread busy([&] {
@@ -119,8 +105,6 @@ TEST_F(ProfilerTest, SampleCountTracksCpuTimeTimesHz) {
     cpu_seconds.store(ts.tv_sec + ts.tv_nsec * 1e-9);
   });
   while (prof::registered_threads() == 0) std::this_thread::yield();
-  const int hz = 97;
-  ASSERT_TRUE(prof::start(hz));
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   prof::stop();
   stop.store(true);
@@ -136,9 +120,8 @@ TEST_F(ProfilerTest, SampleCountTracksCpuTimeTimesHz) {
 // stacks containing a known solver frame, attributed to scheduler workers
 // and task kinds.
 TEST_F(ProfilerTest, ProfiledTaskflowSolveAttributesWorkAndKinds) {
-  want_registration();
   const int hz = 997;  // fast sampling keeps the solve count low
-  ASSERT_TRUE(prof::start(hz));
+  start_session(hz);
   const auto t0 = std::chrono::steady_clock::now();
   matgen::Tridiag t = matgen::table3_matrix(4, 1024);
   dc::Options opt;
@@ -176,85 +159,14 @@ TEST_F(ProfilerTest, ProfiledTaskflowSolveAttributesWorkAndKinds) {
   EXPECT_NE(json.find("\"stack\""), std::string::npos);
 }
 
-TEST_F(ProfilerTest, ProfileForWindowsTheAggregate) {
-  want_registration();
-  std::atomic<bool> stop{false};
-  std::thread busy([&] {
-    prof::ThreadRegistration reg("pool", 7);
-    volatile double x = 1.0;
-    while (!stop.load(std::memory_order_relaxed)) x = x * 1.0000001 + 1e-9;
-  });
-  while (prof::registered_threads() == 0) std::this_thread::yield();
-  const std::string w1 = prof::profile_for(0.25, 397);
-  stop.store(true);
-  busy.join();
-  EXPECT_FALSE(prof::active());  // profile_for started it, so it stopped it
-  EXPECT_NE(w1.find("# dnc profile"), std::string::npos);
-  EXPECT_NE(w1.find("pool:7"), std::string::npos) << w1.substr(0, 500);
-}
-
 TEST_F(ProfilerTest, RegistrationLifecycle) {
-  want_registration();
+  start_session(prof::kDefaultHz);
   {
     prof::ThreadRegistration reg("worker", 3);
     EXPECT_TRUE(reg.active());
     EXPECT_EQ(prof::registered_threads(), 1u);
   }
   EXPECT_EQ(prof::registered_threads(), 0u);
-}
-
-// --- crash dump -------------------------------------------------------------
-
-namespace crash = obs::crash;
-
-TEST_F(ProfilerTest, CrashDumpTextCarriesProvenance) {
-  const std::string text = crash::dump_text(0);
-  EXPECT_NE(text.find("# dnc crash dump"), std::string::npos);
-  EXPECT_NE(text.find("# signal: test"), std::string::npos);
-  EXPECT_NE(text.find("# git_commit: "), std::string::npos);
-}
-
-TEST_F(ProfilerTest, CrashGateOffByDefault) {
-  crash::refresh_from_env();
-  EXPECT_FALSE(crash::enabled());
-  EXPECT_EQ(crash::dump_path(), "");
-  EXPECT_FALSE(crash::ensure_installed());
-}
-
-using ProfilerDeathTest = ProfilerTest;
-
-TEST_F(ProfilerDeathTest, LastGaspDumpSurvivesAbort) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // pid-unique so concurrent whole-binary ctest entries don't race on the
-  // dump file -- but pinned through an env var, because the threadsafe
-  // death test re-executes this body in a child whose own getpid() would
-  // name a different file than the one checked here.
-  const char* preset = std::getenv("DNC_CRASH_TEST_PATH");
-  const std::string path = preset ? std::string(preset)
-                                  : ::testing::TempDir() + "dnc_crash_test_" +
-                                        std::to_string(::getpid()) + ".txt";
-  ::setenv("DNC_CRASH_TEST_PATH", path.c_str(), 1);
-  std::remove(path.c_str());
-  std::remove((path + ".jsonl").c_str());
-  ::setenv("DNC_CRASH_DUMP", path.c_str(), 1);
-  EXPECT_EXIT(
-      {
-        crash::refresh_from_env();
-        crash::ensure_installed();
-        std::abort();
-      },
-      ::testing::KilledBySignal(SIGABRT), "");
-  std::ifstream f(path);
-  ASSERT_TRUE(f.good()) << "crash handler did not write " << path;
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  EXPECT_NE(ss.str().find("# dnc crash dump"), std::string::npos);
-  EXPECT_NE(ss.str().find("SIGABRT"), std::string::npos);
-  std::remove(path.c_str());
-  std::remove((path + ".jsonl").c_str());
-  ::unsetenv("DNC_CRASH_DUMP");
-  ::unsetenv("DNC_CRASH_TEST_PATH");
-  crash::refresh_from_env();
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 // allocation) while scraper threads merge the shards and registrars add new
 // series. The assertions only check that nothing is lost -- the point of
 // the test is that TSan sees no data race in the single-writer shard idiom.
+// Another case scrapes while real taskflow solves record their telemetry.
+//
+// Deliberately absent: the sampling profiler. Its SIGPROF timers are
+// covered by tests/obs (not built with TSan); mixing asynchronous signals
+// into the TSan run would test the sanitizer's signal handling, not ours.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "dc/api.hpp"
+#include "matgen/tridiag.hpp"
 #include "obs/metrics.hpp"
 
 namespace dnc {
@@ -102,6 +109,52 @@ TEST_F(MetricsStressTest, ShardsSurviveThreadExit) {
     // Scrape between thread lifetimes: exited threads' shards must still
     // contribute (the registry holds them via shared_ptr).
     EXPECT_DOUBLE_EQ(m::scrape().metrics[0].value, round + 1.0);
+  }
+}
+
+// Scraper threads render the registry in both export formats while
+// multi-threaded taskflow solves keep the per-solve writers hot. Every
+// scrape must be non-empty and its JSON form must parse back -- a torn
+// snapshot or a data race is the failure mode this guards against.
+TEST_F(MetricsStressTest, ConcurrentScrapesDuringSolves) {
+  matgen::Tridiag t = matgen::table3_matrix(4, 512);
+  dc::Options opt;
+  opt.threads = 4;
+  const auto solve = [&] {
+    std::vector<double> d = t.d, e = t.e;
+    Matrix v;
+    dc::stedc_taskflow(t.n(), d.data(), e.data(), v, opt, nullptr);
+  };
+  // One synchronous solve first, so even the first scrape sees solve metrics.
+  solve();
+
+  std::atomic<bool> solving{true};
+  std::thread solver([&] {
+    while (solving.load()) solve();
+  });
+  std::atomic<int> bad_scrapes{0};
+  std::vector<std::string> last_json(3);
+  std::vector<std::thread> scrapers;
+  for (int s = 0; s < 3; ++s) {
+    scrapers.emplace_back([&, s] {
+      for (int i = 0; i < 12; ++i) {
+        const m::Snapshot snap = m::scrape();
+        const std::string text = (s + i) % 2 ? m::prometheus_text(snap) : m::json_text(snap);
+        if (snap.metrics.empty() || text.empty()) bad_scrapes.fetch_add(1);
+        if ((s + i) % 2 == 0) last_json[s] = text;
+      }
+    });
+  }
+  for (auto& th : scrapers) th.join();
+  solving.store(false);
+  solver.join();
+
+  EXPECT_EQ(bad_scrapes.load(), 0);
+  for (const std::string& json : last_json) {
+    m::Snapshot snap;
+    std::string err;
+    EXPECT_TRUE(m::parse_snapshot(json, snap, &err)) << err;
+    EXPECT_FALSE(snap.metrics.empty());
   }
 }
 

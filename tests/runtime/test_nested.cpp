@@ -10,9 +10,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/analysis.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/simulator.hpp"
 #include "runtime/trace.hpp"
 
 namespace dnc::rt {
@@ -149,8 +149,8 @@ TEST(NestedReplay, BitForBitEqualToChildStrippedTrace) {
   ASSERT_LT(stripped.events.size(), full.events.size());
 
   for (int workers : {1, 2, 4}) {
-    const SimulationResult a = obs::replay_trace(full, workers);
-    const SimulationResult b = obs::replay_trace(stripped, workers);
+    const SimulationResult a = simulate_schedule(full, workers);
+    const SimulationResult b = simulate_schedule(stripped, workers);
     EXPECT_EQ(a.makespan, b.makespan) << workers << " workers";
     EXPECT_EQ(a.total_work, b.total_work) << workers << " workers";
     EXPECT_EQ(a.critical_path, b.critical_path) << workers << " workers";

@@ -2,9 +2,10 @@
 //
 // Priorities are hints, not barriers: a higher-priority ready task launches
 // before a lower-priority one when a worker picks its next task, but an
-// already-running task is never preempted. These tests pin down the three
-// places the priority must mean the same thing: the engine, the DAG
-// simulator, and the trace-driven replay/critical-path analytics.
+// already-running task is never preempted. These tests pin down the places
+// the priority must mean the same thing: the engine and the trace replay
+// (rt::simulate_schedule), cross-checked against the obs critical-path
+// analytics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -95,17 +96,19 @@ TEST(Priority, SimulatorOrdersCriticalJoinFirst) {
     ADD_FAILURE() << "kind " << k << " not in schedule";
     return -1.0;
   };
-  const SimulationResult pri = simulate_schedule(g, 1, MachineModel{}, SimPolicy::Priority);
+  const Trace tr = rt.trace();
+  const SimulationResult pri = simulate_schedule(tr, 1, MachineModel{}, SimPolicy::Priority);
   EXPECT_LT(start_of(pri, khigh), start_of(pri, klow));
-  const SimulationResult fifo = simulate_schedule(g, 1, MachineModel{}, SimPolicy::Fifo);
+  const SimulationResult fifo = simulate_schedule(tr, 1, MachineModel{}, SimPolicy::Fifo);
   EXPECT_LT(start_of(fifo, klow), start_of(fifo, khigh));
 }
 
 TEST(Priority, EngineSimulatorReplayAgreementBothPolicies) {
-  // On the same completed graph, obs::critical_path(trace) must equal
+  // On the trace of a completed engine run, obs::critical_path must equal
   // simulate_schedule's critical path exactly (same durations, same
-  // arithmetic), and obs::replay_trace must reproduce simulate_schedule's
-  // makespan under both simulator policies (Fifo, Priority). Two seeds
+  // arithmetic) and its total work to rounding (summed in another order)
+  // under both simulator policies (Fifo,
+  // Priority), and the replay must respect the work/span bounds. Two seeds
   // give two independent random graphs.
   for (const std::uint64_t seed : {11, 22}) {
     TaskGraph g;
@@ -130,12 +133,20 @@ TEST(Priority, EngineSimulatorReplayAgreementBothPolicies) {
     const Trace tr = rt.trace();
 
     const obs::CriticalPath cp = obs::critical_path(tr);
+    const obs::SpanLaw law = obs::span_law(tr);
     for (const int w : {1, 4, 16}) {
       for (const SimPolicy sp : {SimPolicy::Fifo, SimPolicy::Priority}) {
-        const SimulationResult sim = simulate_schedule(g, w, MachineModel{}, sp);
-        EXPECT_NEAR(cp.length, sim.critical_path, 1e-12) << "seed " << seed << " w=" << w;
-        const SimulationResult rep = obs::replay_trace(tr, w, MachineModel{}, sp);
-        EXPECT_NEAR(rep.makespan, sim.makespan, 1e-12) << "seed " << seed << " w=" << w;
+        const SimulationResult sim = simulate_schedule(tr, w, MachineModel{}, sp);
+        EXPECT_EQ(cp.length, sim.critical_path) << "seed " << seed << " w=" << w;
+        EXPECT_NEAR(cp.total_work, sim.total_work, 1e-12) << "seed " << seed << " w=" << w;
+        EXPECT_EQ(sim.schedule.events.size(), g.task_count());
+        // Bandwidth sharing only stretches tasks, so the span-law lower
+        // bound always holds; up to 8 workers the default machine serves
+        // every memory-bound task at full speed, so Brent's bound holds too.
+        EXPECT_GE(sim.makespan + 1e-12, law.lower_bound(w)) << "seed " << seed << " w=" << w;
+        if (w <= 8) {
+          EXPECT_LE(sim.makespan, law.upper_bound(w) + 1e-12) << "seed " << seed << " w=" << w;
+        }
       }
     }
   }
@@ -157,9 +168,10 @@ TEST(Priority, ZeroPrioritySimulationIsFifo) {
              },
              {{&handles[rng.uniform_below(4)], static_cast<Access>(rng.uniform_below(4))}});
   rt.wait_all();
+  const Trace tr = rt.trace();
   for (const int w : {2, 8}) {
-    const SimulationResult a = simulate_schedule(g, w, MachineModel{}, SimPolicy::Priority);
-    const SimulationResult b = simulate_schedule(g, w, MachineModel{}, SimPolicy::Fifo);
+    const SimulationResult a = simulate_schedule(tr, w, MachineModel{}, SimPolicy::Priority);
+    const SimulationResult b = simulate_schedule(tr, w, MachineModel{}, SimPolicy::Fifo);
     EXPECT_EQ(a.makespan, b.makespan);
     ASSERT_EQ(a.schedule.events.size(), b.schedule.events.size());
     for (std::size_t i = 0; i < a.schedule.events.size(); ++i) {

@@ -101,9 +101,10 @@ TEST(RuntimeStress, FuzzedGraphSimulatorConsistency) {
                deps);
     }
     rt.wait_all();
+    const Trace tr = rt.trace();
     double prev = 1e300;
     for (int w : {1, 2, 4, 8, 16}) {
-      const auto s = simulate_schedule(g, w);
+      const auto s = simulate_schedule(tr, w);
       EXPECT_GE(s.makespan + 1e-12, s.critical_path);
       EXPECT_GE(s.makespan + 1e-12, s.total_work / w);
       EXPECT_LE(s.makespan, prev + 1e-12);  // monotone in workers

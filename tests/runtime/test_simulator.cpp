@@ -26,8 +26,8 @@ TEST(Simulator, ChainHasNoSpeedup) {
   Handle h;
   for (int i = 0; i < 20; ++i) g.submit(0, busy_work, {{&h, Access::InOut}});
   rt.wait_all();
-  const auto s1 = simulate_schedule(g, 1);
-  const auto s8 = simulate_schedule(g, 8);
+  const auto s1 = simulate_schedule(rt.trace(), 1);
+  const auto s8 = simulate_schedule(rt.trace(), 8);
   EXPECT_NEAR(s8.makespan, s1.makespan, 1e-9);
   EXPECT_NEAR(s1.critical_path, s1.total_work, 1e-9);
 }
@@ -38,8 +38,8 @@ TEST(Simulator, IndependentTasksScaleLinearly) {
   Handle h;
   for (int i = 0; i < 64; ++i) g.submit(0, busy_work, {{&h, Access::GatherV}});
   rt.wait_all();
-  const auto s1 = simulate_schedule(g, 1);
-  const auto s8 = simulate_schedule(g, 8);
+  const auto s1 = simulate_schedule(rt.trace(), 1);
+  const auto s8 = simulate_schedule(rt.trace(), 8);
   // Measured busy-wait durations vary (especially on a loaded single-core
   // container), so allow generous slack around the ideal 8x.
   EXPECT_GT(s1.makespan / s8.makespan, 4.0);
@@ -56,7 +56,7 @@ TEST(Simulator, MakespanBounds) {
   for (int i = 0; i < 30; ++i) g.submit(0, busy_work, {{&b, Access::GatherV}});
   rt.wait_all();
   for (int p : {1, 2, 4, 16}) {
-    const auto s = simulate_schedule(g, p);
+    const auto s = simulate_schedule(rt.trace(), p);
     EXPECT_GE(s.makespan + 1e-12, s.critical_path);
     EXPECT_LE(s.makespan, s.total_work + 1e-12);
     EXPECT_GE(s.makespan + 1e-12, s.total_work / p);
@@ -71,8 +71,8 @@ TEST(Simulator, MemoryBoundTasksStagnate) {
   for (int i = 0; i < 64; ++i) g.submit(copy, busy_work, {{&h, Access::GatherV}});
   rt.wait_all();
   MachineModel mm;  // 2 sockets x 4 streams
-  const auto s1 = simulate_schedule(g, 1, mm);
-  const auto s16 = simulate_schedule(g, 16, mm);
+  const auto s1 = simulate_schedule(rt.trace(), 1, mm);
+  const auto s16 = simulate_schedule(rt.trace(), 16, mm);
   const double speedup = s1.makespan / s16.makespan;
   // Bandwidth-capped: cannot reach anywhere near 16x.
   EXPECT_LT(speedup, 10.0);
@@ -85,14 +85,13 @@ TEST(Simulator, SingleWorkerEqualsTotalWork) {
   Handle a;
   for (int i = 0; i < 15; ++i) g.submit(0, busy_work, {{&a, Access::GatherV}});
   rt.wait_all();
-  const auto s = simulate_schedule(g, 1);
+  const auto s = simulate_schedule(rt.trace(), 1);
   EXPECT_NEAR(s.makespan, s.total_work, 1e-9);
   EXPECT_NEAR(s.efficiency, 1.0, 1e-9);
 }
 
 TEST(Simulator, InvalidWorkerCountThrows) {
-  TaskGraph g;
-  EXPECT_THROW(simulate_schedule(g, 0), dnc::InvalidArgument);
+  EXPECT_THROW(simulate_schedule(Trace{}, 0), dnc::InvalidArgument);
 }
 
 TEST(Dot, ExportContainsNodesAndEdges) {
@@ -150,7 +149,7 @@ TEST(TraceRender, SimulatedScheduleExportable) {
   Handle h;
   for (int i = 0; i < 6; ++i) g.submit(0, busy_work, {{&h, Access::GatherV}});
   rt.wait_all();
-  const auto s = simulate_schedule(g, 3);
+  const auto s = simulate_schedule(rt.trace(), 3);
   EXPECT_EQ(s.schedule.events.size(), 6u);
   EXPECT_EQ(s.schedule.workers, 3);
   const std::string json = s.schedule.chrome_trace_json();

@@ -3,20 +3,13 @@
 //   dnc_metrics <snapshot.json>             render one snapshot
 //   dnc_metrics --diff <a.json> <b.json>    render the delta b - a
 //   dnc_metrics --prometheus <snapshot.json> re-emit as Prometheus text
-//   dnc_metrics --fetch <url>               scrape a live DNC_HTTP endpoint:
-//                                           a /varz URL is rendered like a
-//                                           snapshot file, /metrics text is
-//                                           passed through
 //   dnc_metrics --demo [n]                  run an instrumented solve and
 //                                           print the live scrape (smoke
 //                                           tool for CI and docs)
 //
 // Snapshots come from a process run with DNC_METRICS=<path> (written at
-// exit and every DNC_METRICS_INTERVAL seconds as <path> plus <path>.json),
-// from dnc_trace --metrics-out, or live over HTTP: every place that takes a
-// snapshot path also accepts http://host:port/varz, so
-// `dnc_metrics --diff http://...:8080/varz http://...:8080/varz` diffs two
-// live scrapes taken moments apart.
+// exit and every DNC_METRICS_INTERVAL seconds as <path> plus <path>.json)
+// or from dnc_trace --metrics-out.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,84 +22,35 @@
 #include "common/version.hpp"
 #include "dc/api.hpp"
 #include "matgen/tridiag.hpp"
-#include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s <snapshot.json | url>\n"
-               "       %s --diff <a.json|url> <b.json|url>\n"
-               "       %s --prometheus <snapshot.json|url>\n"
-               "       %s --fetch <url>\n"
+               "usage: %s <snapshot.json>\n"
+               "       %s --diff <a.json> <b.json>\n"
+               "       %s --prometheus <snapshot.json>\n"
                "       %s --demo [n]\n"
-               "       %s --version\n"
-               "(urls are http://host:port/varz endpoints of a DNC_HTTP process)\n",
-               argv0, argv0, argv0, argv0, argv0, argv0);
+               "       %s --version\n",
+               argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
-bool is_url(const char* path) { return std::strncmp(path, "http://", 7) == 0; }
-
-bool fetch_url(const char* url, std::string& body) {
-  std::string host, path, err;
-  std::uint16_t port = 0;
-  if (!dnc::obs::httpd::parse_url(url, host, port, path)) {
-    std::fprintf(stderr, "dnc_metrics: bad url (need http://host:port/path): %s\n", url);
-    return false;
-  }
-  int status = 0;
-  if (!dnc::obs::httpd::http_get(host, port, path, status, body, &err)) {
-    std::fprintf(stderr, "dnc_metrics: %s: %s\n", url, err.c_str());
-    return false;
-  }
-  if (status != 200 || body.empty()) {
-    std::fprintf(stderr, "dnc_metrics: %s: HTTP %d%s\n", url, status,
-                 body.empty() ? " (empty body)" : "");
-    return false;
-  }
-  return true;
-}
-
 bool load_snapshot(const char* path, dnc::obs::metrics::Snapshot& out) {
-  std::string text;
-  if (is_url(path)) {
-    if (!fetch_url(path, text)) return false;
-  } else {
-    std::ifstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "dnc_metrics: cannot open %s\n", path);
-      return false;
-    }
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    text = ss.str();
+  std::ifstream f(path);
+  if (!f) {
+    std::fprintf(stderr, "dnc_metrics: cannot open %s\n", path);
+    return false;
   }
+  std::ostringstream ss;
+  ss << f.rdbuf();
   std::string err;
-  if (!dnc::obs::metrics::parse_snapshot(text, out, &err)) {
-    std::fprintf(stderr, "dnc_metrics: %s: %s%s\n", path, err.c_str(),
-                 is_url(path) ? " (expected a /varz endpoint)" : "");
+  if (!dnc::obs::metrics::parse_snapshot(ss.str(), out, &err)) {
+    std::fprintf(stderr, "dnc_metrics: %s: %s\n", path, err.c_str());
     return false;
   }
   return true;
-}
-
-int run_fetch(const char* url) {
-  std::string body;
-  if (!fetch_url(url, body)) return 1;
-  // /varz returns the dnc-metrics-v1 snapshot -- render it like a file;
-  // anything else (/metrics Prometheus text, /healthz, ...) passes through.
-  if (!body.empty() && body[0] == '{') {
-    dnc::obs::metrics::Snapshot s;
-    std::string err;
-    if (dnc::obs::metrics::parse_snapshot(body, s, &err)) {
-      std::fputs(dnc::obs::metrics::render_snapshot(s).c_str(), stdout);
-      return 0;
-    }
-  }
-  std::fputs(body.c_str(), stdout);
-  return 0;
 }
 
 int run_demo(long n) {
@@ -133,7 +77,6 @@ int main(int argc, char** argv) {
   }
   if (argc >= 2 && !std::strcmp(argv[1], "--demo"))
     return run_demo(argc >= 3 ? std::atol(argv[2]) : 400);
-  if (argc == 3 && !std::strcmp(argv[1], "--fetch")) return run_fetch(argv[2]);
   namespace m = dnc::obs::metrics;
   if (argc == 4 && !std::strcmp(argv[1], "--diff")) {
     m::Snapshot a, b;

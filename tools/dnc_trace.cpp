@@ -8,9 +8,9 @@
 //   dnc_trace --load trace.json            analyse a $DNC_TRACE export
 //
 // Output: per-kernel time split, the critical path (ordered chain +
-// per-kind attribution, cross-checked against rt::simulate_schedule when
-// solving in-process), the work/span law, a what-if replay sweep over
-// worker counts, the parallelism profile (ASCII), and -- in solve mode with
+// per-kind attribution, cross-checked against rt::simulate_schedule's
+// longest path), the work/span law, a what-if replay sweep over worker
+// counts, the parallelism profile (ASCII), and -- in solve mode with
 // --nb-sweep -- the panel-width granularity trade-off. --json dumps the
 // same analysis machine-readably.
 #include <algorithm>
@@ -32,6 +32,7 @@
 #include "obs/hwc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_io.hpp"
+#include "runtime/simulator.hpp"
 #include "runtime/trace.hpp"
 
 namespace {
@@ -174,12 +175,10 @@ dc::Options solve_options(const Args& a) {
   return opt;
 }
 
-/// Runs the requested driver, returns its trace and (D&C drivers) the
-/// simulator cross-check results at the requested worker counts. When
-/// `report` is non-null it receives the solve's SolveReport (the roofline
-/// needs its GEMM FLOP / packed-byte counters).
-bool run_solver(const Args& a, rt::Trace& trace, std::vector<rt::SimulationResult>& simulated,
-                obs::SolveReport* report = nullptr) {
+/// Runs the requested driver and returns its trace. When `report` is
+/// non-null it receives the solve's SolveReport (the roofline needs its
+/// GEMM FLOP / packed-byte counters).
+bool run_solver(const Args& a, rt::Trace& trace, obs::SolveReport* report = nullptr) {
   matgen::Tridiag t = matgen::table3_matrix(a.type, a.n);
   // History records key on the matrix family; only this harness knows it.
   obs::history::set_family_hint(std::to_string(a.type).c_str());
@@ -190,20 +189,19 @@ bool run_solver(const Args& a, rt::Trace& trace, std::vector<rt::SimulationResul
     mopt.threads = 1;
     mrrr::Stats st;
     std::vector<double> lam;
-    mrrr_solve(a.n, t.d.data(), t.e.data(), lam, v, mopt, &st, a.workers);
+    mrrr_solve(a.n, t.d.data(), t.e.data(), lam, v, mopt, &st);
     trace = st.trace;
-    simulated = st.simulated;
     if (report) *report = st.report;
     return true;
   }
   dc::SolveStats st;
   std::vector<double> d = t.d, e = t.e;
   if (a.driver == "taskflow")
-    dc::stedc_taskflow(a.n, d.data(), e.data(), v, opt, &st, a.workers);
+    dc::stedc_taskflow(a.n, d.data(), e.data(), v, opt, &st);
   else if (a.driver == "lapack_model")
-    dc::stedc_lapack_model(a.n, d.data(), e.data(), v, opt, &st, a.workers);
+    dc::stedc_lapack_model(a.n, d.data(), e.data(), v, opt, &st);
   else if (a.driver == "scalapack_model")
-    dc::stedc_scalapack_model(a.n, d.data(), e.data(), v, opt, &st, a.workers);
+    dc::stedc_scalapack_model(a.n, d.data(), e.data(), v, opt, &st);
   else {
     std::fprintf(stderr,
                  "unknown driver '%s' (sequential has no trace; pick a runtime-backed one)\n",
@@ -211,7 +209,6 @@ bool run_solver(const Args& a, rt::Trace& trace, std::vector<rt::SimulationResul
     return false;
   }
   trace = st.trace;
-  simulated = st.simulated;
   if (report) *report = st.report;
   return true;
 }
@@ -378,7 +375,6 @@ int main(int argc, char** argv) {
   }
 
   rt::Trace trace;
-  std::vector<rt::SimulationResult> simulated;
   obs::SolveReport report;
   double gemm_flops = 0.0, gemm_bytes = 0.0;
   int precision_bits = 64;
@@ -400,7 +396,7 @@ int main(int argc, char** argv) {
     // the in-process run (without clobbering an explicit DNC_HWC choice
     // such as DNC_HWC=rusage).
     if (a.roofline) ::setenv("DNC_HWC", "1", /*overwrite=*/0);
-    if (!run_solver(a, trace, simulated, &report)) return 2;
+    if (!run_solver(a, trace, &report)) return 2;
     gemm_flops = static_cast<double>(report.counter(obs::kGemmFlops));
     gemm_bytes = static_cast<double>(report.counter(obs::kGemmPackedBytes));
     precision_bits = report.precision_bits();
@@ -455,36 +451,28 @@ int main(int argc, char** argv) {
   }
 
   // --- critical path ---
+  std::vector<rt::SimulationResult> replays;
+  for (int w : a.workers) replays.push_back(rt::simulate_schedule(trace, w));
   const obs::CriticalPath cp = obs::critical_path(trace);
   std::printf("-- critical path --\n%s", cp.render(trace).c_str());
-  if (!simulated.empty()) {
-    const double delta = std::abs(cp.length - simulated[0].critical_path);
-    std::printf("cross-check vs rt::simulate_schedule: %.9e s vs %.9e s, |delta| = %.3e s\n",
-                cp.length, simulated[0].critical_path, delta);
-  }
-  std::printf("\n");
+  std::printf("cross-check vs rt::simulate_schedule: %.9e s vs %.9e s, |delta| = %.3e s\n\n",
+              cp.length, replays[0].critical_path,
+              std::abs(cp.length - replays[0].critical_path));
 
   // --- span law + what-if sweep ---
   const obs::SpanLaw law = obs::span_law(trace);
   std::printf("-- work/span law --\nT1 = %.6f s, Tinf = %.6f s, parallelism = %.2f\n\n",
               law.t1, law.t_inf, law.parallelism);
   std::printf("-- what-if: replay on P virtual workers (bandwidth-aware FIFO replay) --\n");
-  std::printf("%8s %12s %9s %9s %11s %9s\n", "workers", "makespan(s)", "speedup", "eff",
-              "span-bound", "sim-delta");
-  std::vector<rt::SimulationResult> replays;
+  std::printf("%8s %12s %9s %9s %11s\n", "workers", "makespan(s)", "speedup", "eff",
+              "span-bound");
   for (std::size_t i = 0; i < a.workers.size(); ++i) {
-    const int w = a.workers[i];
-    const rt::SimulationResult r = obs::replay_trace(trace, w);
-    replays.push_back(r);
-    std::printf("%8d %12.6f %9.2f %8.1f%% %11.2f", w, r.makespan,
+    const rt::SimulationResult& r = replays[i];
+    std::printf("%8d %12.6f %9.2f %8.1f%% %11.2f\n", a.workers[i], r.makespan,
                 r.makespan > 0.0 ? replays[0].makespan / r.makespan : 0.0, 100.0 * r.efficiency,
-                law.predicted_speedup(w));
-    if (i < simulated.size())
-      std::printf(" %9.2e", std::abs(r.makespan - simulated[i].makespan));
-    std::printf("\n");
+                law.predicted_speedup(a.workers[i]));
   }
-  std::printf("(speedup is vs the P=%d replay; span-bound is T1/max(T1/P, Tinf);\n"
-              " sim-delta compares against rt::simulate_schedule where available)\n\n",
+  std::printf("(speedup is vs the P=%d replay; span-bound is T1/max(T1/P, Tinf))\n\n",
               a.workers[0]);
 
   // --- what-if: scheduling policy. Replays the same DAG with priorities
@@ -496,7 +484,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < a.workers.size(); ++i) {
     const int w = a.workers[i];
     const rt::SimulationResult rf =
-        obs::replay_trace(trace, w, rt::MachineModel{}, rt::SimPolicy::Fifo);
+        rt::simulate_schedule(trace, w, rt::MachineModel{}, rt::SimPolicy::Fifo);
     fifo_makespans.push_back(rf.makespan);
     const double pri = replays[i].makespan;
     std::printf("%8d %14.6f %14.6f %+8.2f%%\n", w, pri, rf.makespan,
@@ -516,13 +504,11 @@ int main(int argc, char** argv) {
     for (long div : {4, 6, 8, 12, 16, 24, 32}) {
       Args anb = a;
       anb.nb = std::max<long>(16, a.n / div);
-      anb.workers = {16};
       rt::Trace tnb;
-      std::vector<rt::SimulationResult> snb;
-      if (!run_solver(anb, tnb, snb)) break;
+      if (!run_solver(anb, tnb)) break;
       const obs::SpanLaw lnb = obs::span_law(tnb);
-      const rt::SimulationResult r1 = obs::replay_trace(tnb, 1);
-      const rt::SimulationResult r16 = obs::replay_trace(tnb, 16);
+      const rt::SimulationResult r1 = rt::simulate_schedule(tnb, 1);
+      const rt::SimulationResult r16 = rt::simulate_schedule(tnb, 16);
       std::printf("%8ld %12.6f %12.6f %9.2f\n", anb.nb, lnb.t1, lnb.t_inf,
                   r16.makespan > 0.0 ? r1.makespan / r16.makespan : 0.0);
     }

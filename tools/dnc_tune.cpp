@@ -32,8 +32,8 @@
 #include "dc/api.hpp"
 #include "dc/tune.hpp"
 #include "matgen/tridiag.hpp"
-#include "obs/analysis.hpp"
 #include "obs/trace_io.hpp"
+#include "runtime/simulator.hpp"
 #include "runtime/trace.hpp"
 
 namespace {
@@ -147,8 +147,8 @@ int tune_from_traces(const Args& a, dc::tune::Table& table) {
     // engine's priority policy vs plain FIFO.
     const rt::Trace& t = best_trace[key];
     const int w = win.second.workers > 0 ? win.second.workers : 1;
-    const double mk_prio = obs::replay_trace(t, w, {}, rt::SimPolicy::Priority).makespan;
-    const double mk_fifo = obs::replay_trace(t, w, {}, rt::SimPolicy::Fifo).makespan;
+    const double mk_prio = rt::simulate_schedule(t, w, {}, rt::SimPolicy::Priority).makespan;
+    const double mk_fifo = rt::simulate_schedule(t, w, {}, rt::SimPolicy::Fifo).makespan;
     upsert(table, win.second);
     std::printf("tuned cell %s from %zu trace(s): makespan %.4fs, replay prio %.4fs vs "
                 "fifo %.4fs (%s)\n",
