@@ -10,12 +10,12 @@
 // two such artifacts and fails on regression.
 //
 // Knobs: DNC_BENCH_NMAX (default 768 here -- wall-clock is 5 drivers x 5
-// families x sizes x reps), DNC_BENCH_FAST=1 (CI: nmax/3), DNC_BENCH_REPS
-// (default 5), DNC_BENCH_OUT (default BENCH_solver.json), DNC_BENCH_REPORTS
-// (directory: side-write the last-rep SolveReport JSON of every cell there,
-// named via obs::bench_report_filename, and stamp "reports_dir" into the
-// artifact metadata so bench_compare can find them for regression
-// attribution without a re-run).
+// families x sizes x reps), DNC_BENCH_FAST=1 (CI: nmax/3 plus n = 1024),
+// DNC_BENCH_REPS (default 5), DNC_BENCH_OUT (default BENCH_solver.json),
+// DNC_BENCH_REPORTS (directory: side-write the last-rep SolveReport JSON of
+// every cell there, named via obs::bench_report_filename, and stamp
+// "reports_dir" into the artifact metadata so bench_compare can find them
+// for regression attribution without a re-run).
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -149,7 +150,10 @@ int main() {
       reports_dir.clear();
     }
   }
-  const std::vector<index_t> sizes = bench::size_sweep(nmax, 3);
+  std::vector<index_t> sizes = bench::size_sweep(nmax, 3);
+  // The fast grid (n <= 256) leaves every D&C cell under the perf gate's
+  // 4 ms floor; n = 1024 puts D&C and MRRR cells of every family above it.
+  if (const char* f = std::getenv("DNC_BENCH_FAST"); f && f[0] == '1') sizes.push_back(1024);
   const char* drivers[] = {"sequential", "taskflow", "lapack_model", "scalapack_model",
                            "mrrr"};
 
@@ -177,14 +181,24 @@ int main() {
   constexpr struct { Precision prec; const char* name; } kPrecisions[] = {
       {Precision::F64, "f64"}, {Precision::F32, "f32"}};
 
+  // Generated once per (family, n): the prescribed-spectrum families are
+  // O(n^3) to build, which at n = 1024 would rival the timed solves.
+  std::vector<std::vector<matgen::Tridiag>> matrices;
+  for (const Family& fam : kFamilies) {
+    matrices.emplace_back();
+    for (const index_t n : sizes) matrices.back().push_back(matgen::table3_matrix(fam.type, n));
+  }
+
   bool first_entry = true;
   std::printf("%-16s %-12s %-5s %6s %12s %12s\n", "driver", "family", "prec", "n",
               "median(s)", "iqr(s)");
   for (const char* driver : drivers) {
-    for (const Family& fam : kFamilies) {
+    for (std::size_t f = 0; f < std::size(kFamilies); ++f) {
+      const Family& fam = kFamilies[f];
       for (const auto& [prec, prec_name] : kPrecisions) {
-        for (const index_t n : sizes) {
-          const matgen::Tridiag t = matgen::table3_matrix(fam.type, n);
+        for (std::size_t si = 0; si < sizes.size(); ++si) {
+          const index_t n = sizes[si];
+          const matgen::Tridiag& t = matrices[f][si];
           dc::Options opt = bench::scaled_options(n);
           opt.precision = prec;
           // DNC_HISTORY runs of the bench archive every rep under the

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -33,16 +34,22 @@ class NumericalError : public std::runtime_error {
   } while (0)
 
 /// Input contract of every tridiagonal driver: throws InvalidArgument naming
-/// the first non-finite entry of d[0..n) or e[0..n-1). A NaN or Inf would
+/// the first entry of d[0..n) or e[0..n-1) that is not finite -- in fp32
+/// when `fp32` is set, i.e. whose magnitude exceeds FLT_MAX, because the
+/// fp32 precisions narrow the input before scaling it. A NaN or Inf would
 /// otherwise come back as NaN eigenvalues or a bisection that never ends.
 inline void require_finite_tridiagonal(long n, const double* d, const double* e,
-                                       const char* who) {
-  for (long i = 0; i < n; ++i)
-    if (!std::isfinite(d[i]))
-      throw InvalidArgument(std::string(who) + ": d[" + std::to_string(i) + "] is not finite");
-  for (long i = 0; i + 1 < n; ++i)
-    if (!std::isfinite(e[i]))
-      throw InvalidArgument(std::string(who) + ": e[" + std::to_string(i) + "] is not finite");
+                                       const char* who, bool fp32) {
+  const double limit = fp32 ? static_cast<double>(std::numeric_limits<float>::max())
+                            : std::numeric_limits<double>::max();
+  const auto check = [&](const double* x, long count, const char* name) {
+    for (long i = 0; i < count; ++i)
+      if (!(std::fabs(x[i]) <= limit))
+        throw InvalidArgument(std::string(who) + ": " + name + "[" + std::to_string(i) +
+                              "] is not finite" + (fp32 ? " in fp32" : ""));
+  };
+  check(d, n, "d");
+  check(e, n - 1, "e");
 }
 
 #if defined(DNC_ENABLE_ASSERTS) || !defined(NDEBUG)

@@ -15,6 +15,7 @@
 #include "dc/api.hpp"
 #include "dc/driver_common.hpp"
 #include "dc/task_kinds.hpp"
+#include "lapack/scale.hpp"
 #include "runtime/dot.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/scheduler.hpp"
@@ -54,7 +55,7 @@ void stedc_lapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
     graph.submit(kind, std::move(fn), {{&hseq, rt::Access::InOut}});
   };
 
-  chain(K.scale, [&, n] { orgnrm = detail::scale_problem(n, d, e); });
+  chain(K.scale, [&, n] { orgnrm = lapack::scale_problem(n, d, e); });
   chain(K.partition, [&] { detail::adjust_boundaries(plan, d, e); });
   chain(K.laset, [&, n] { blas::laset(n, n, Real(0), Real(0), v.data(), v.ld()); });
 
@@ -113,7 +114,7 @@ void stedc_lapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
   chain(K.sort, [&, n] {
     detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0, ws);
   });
-  chain(K.scale, [&, n] { detail::unscale_eigenvalues(n, d, orgnrm); });
+  chain(K.scale, [&, n] { lapack::unscale_eigenvalues(n, d, orgnrm); });
 
   runtime.wait_all();
 

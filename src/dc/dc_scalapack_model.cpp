@@ -17,6 +17,7 @@
 #include "dc/api.hpp"
 #include "dc/driver_common.hpp"
 #include "dc/task_kinds.hpp"
+#include "lapack/scale.hpp"
 #include "runtime/dot.hpp"
 #include "runtime/engine.hpp"
 
@@ -53,7 +54,7 @@ void stedc_scalapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
   Real orgnrm = 0;
   rt::Runtime runtime(graph, opt.threads);
 
-  graph.submit(K.scale, [&, n] { orgnrm = detail::scale_problem(n, d, e); },
+  graph.submit(K.scale, [&, n] { orgnrm = lapack::scale_problem(n, d, e); },
                {{&hbar, rt::Access::InOut}});
   graph.submit(K.partition,
                [&] {
@@ -167,7 +168,7 @@ void stedc_scalapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
   graph.submit(K.sort,
                [&, n] {
                  detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0, ws);
-                 detail::unscale_eigenvalues(n, d, orgnrm);
+                 lapack::unscale_eigenvalues(n, d, orgnrm);
                },
                {{&hbar, rt::Access::InOut}, {&hnode[plan.root], rt::Access::InOut}});
 

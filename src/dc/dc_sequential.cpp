@@ -9,6 +9,7 @@
 #include "common/timer.hpp"
 #include "dc/api.hpp"
 #include "dc/driver_common.hpp"
+#include "lapack/scale.hpp"
 #include "lapack/steqr.hpp"
 
 namespace dnc::dc {
@@ -23,20 +24,6 @@ bool solve_trivial(index_t n, Real* d, Real* e, MatrixT<Real>& v) {
   // steqr handles n = 1, 2 directly (and sorts).
   lapack::steqr(lapack::CompZ::Identity, n, d, e, v.data(), std::max<index_t>(1, n));
   return true;
-}
-
-template <typename Real>
-Real scale_problem(index_t n, Real* d, Real* e) {
-  const Real orgnrm = blas::lanst_max(n, d, e);
-  if (orgnrm == Real(0)) return Real(0);
-  blas::lascl(n, 1, orgnrm, Real(1), d, n);
-  if (n > 1) blas::lascl(n - 1, 1, orgnrm, Real(1), e, n);
-  return orgnrm;
-}
-
-template <typename Real>
-void unscale_eigenvalues(index_t n, Real* d, Real orgnrm) {
-  if (orgnrm != Real(0) && orgnrm != Real(1)) blas::lascl(n, 1, Real(1), orgnrm, d, n);
 }
 
 template <typename Real>
@@ -152,8 +139,6 @@ void finish_report(const obs::SolveScope& scope,
 
 #define DNC_INSTANTIATE_DRIVER_COMMON(Real)                                                  \
   template bool solve_trivial<Real>(index_t, Real*, Real*, MatrixT<Real>&);                  \
-  template Real scale_problem<Real>(index_t, Real*, Real*);                                  \
-  template void unscale_eigenvalues<Real>(index_t, Real*, Real);                             \
   template void adjust_boundaries<Real>(const Plan&, Real*, const Real*);                    \
   template void solve_leaf<Real>(const TreeNode&, Real*, Real*, MatrixT<Real>&, index_t*);   \
   template void sort_eigenpairs<Real>(index_t, Real*, MatrixT<Real>&, const index_t*,        \
@@ -192,7 +177,7 @@ void stedc_sequential_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const 
   v.resize(n, n);
   v.fill(Real(0));
 
-  const Real orgnrm = detail::scale_problem(n, d, e);
+  const Real orgnrm = lapack::scale_problem(n, d, e);
   if (orgnrm == Real(0)) {
     // Zero matrix: eigenvalues are the (zero) diagonal, vectors identity.
     blas::laset(n, n, Real(0), Real(1), v.data(), v.ld());
@@ -220,7 +205,7 @@ void stedc_sequential_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const 
     }
   }
   detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0, ws);
-  detail::unscale_eigenvalues(n, d, orgnrm);
+  lapack::unscale_eigenvalues(n, d, orgnrm);
 
   detail::fill_stats(plan, ctxs, stats);
   if (stats) {

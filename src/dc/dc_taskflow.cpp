@@ -22,6 +22,7 @@
 #include "dc/api.hpp"
 #include "dc/driver_common.hpp"
 #include "dc/task_kinds.hpp"
+#include "lapack/scale.hpp"
 #include "runtime/dot.hpp"
 #include "runtime/engine.hpp"
 
@@ -73,7 +74,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
   rt::Runtime runtime(graph, opt.threads);
 
   // --- prologue ---
-  graph.submit(K.scale, [&, n] { orgnrm = detail::scale_problem(n, d, e); },
+  graph.submit(K.scale, [&, n] { orgnrm = lapack::scale_problem(n, d, e); },
                {{&hT, rt::Access::InOut}});
   graph.submit(K.partition, [&] { detail::adjust_boundaries(plan, d, e); },
                {{&hT, rt::Access::InOut}});
@@ -222,7 +223,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
                  },
                  {{&hblock[root], rt::Access::GatherV}, {&hsort[p], rt::Access::InOut}});
   }
-  graph.submit(K.scale, [&, n] { detail::unscale_eigenvalues(n, d, orgnrm); },
+  graph.submit(K.scale, [&, n] { lapack::unscale_eigenvalues(n, d, orgnrm); },
                {{&hblock[root], rt::Access::InOut}, {&hT, rt::Access::InOut}});
 
   runtime.wait_all();

@@ -1,7 +1,7 @@
-// Shared scaffolding for the D&C drivers: problem scaling, boundary
-// adjustment of the partition, leaf solves, final sorting, and the
-// precision dispatch that narrows an fp64 problem to the fp32 fast path
-// (and widens + optionally refines the results). Internal header.
+// Shared scaffolding for the D&C drivers: boundary adjustment of the
+// partition, leaf solves, final sorting, and the precision dispatch that
+// narrows an fp64 problem to the fp32 fast path (and widens + optionally
+// refines the results). Internal header.
 #pragma once
 
 #include <vector>
@@ -40,15 +40,6 @@ inline int task_priority(int level, bool join) {
 /// Trivial sizes handled without the machinery. Returns true if done.
 template <typename Real>
 bool solve_trivial(index_t n, Real* d, Real* e, MatrixT<Real>& v);
-
-/// Scales d/e so the norm is 1 (dstedc's orgnrm scaling); returns the
-/// original norm (0 means the matrix was zero and nothing was scaled).
-template <typename Real>
-Real scale_problem(index_t n, Real* d, Real* e);
-
-/// Undo scale_problem on the eigenvalues.
-template <typename Real>
-void unscale_eigenvalues(index_t n, Real* d, Real orgnrm);
 
 /// Applies Cuppen's boundary modification: for every internal node, the
 /// two diagonal entries adjacent to the split lose |e_split| (see
@@ -112,7 +103,8 @@ void finish_report(const obs::SolveScope& scope,
 ///                 adjustment) and every returned eigenpair is polished to
 ///                 fp64-grade residuals by Rayleigh-quotient iteration.
 ///
-/// Non-finite input is rejected with InvalidArgument before any work.
+/// Non-finite input -- beyond FLT_MAX under the fp32 precisions -- is
+/// rejected with InvalidArgument before any work.
 /// After the solve (and refinement), the health probe -- armed with the
 /// fp64 tridiagonal snapshotted on entry -- checks sampled eigenpairs, and
 /// the report goes to the metrics registry / flight recorder. With both
@@ -120,7 +112,7 @@ void finish_report(const obs::SolveScope& scope,
 template <typename SolveFn>
 void run_with_precision(index_t n, double* d, double* e, Matrix& v, const Options& opt,
                         SolveStats* stats, SolveFn&& solve) {
-  require_finite_tridiagonal(n, d, e, "stedc");
+  require_finite_tridiagonal(n, d, e, "stedc", opt.precision != Precision::F64);
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
   // A reused SolveStats must not leak the previous solve's refinement
   // epilogue into a run that never refines (the F64/F32 paths below skip it).

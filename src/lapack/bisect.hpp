@@ -1,8 +1,8 @@
 // Sturm-count bisection for symmetric tridiagonal eigenvalues.
 //
-// Provides an algorithm-independent oracle for tests (eigenvalues computed
-// without QR/D&C/MRRR machinery) and the initial eigenvalue approximations
-// for the MRRR solver. Templated on the working precision.
+// Provides an algorithm-independent oracle for tests and the benchmark's
+// result check (eigenvalues computed without QR/D&C/MRRR machinery); MRRR
+// computes its own eigenvalues by dqds. Templated on the working precision.
 #pragma once
 
 #include <vector>
@@ -27,7 +27,7 @@ Real bisect_eigenvalue(index_t n, const Real* d, const Real* e, index_t k,
                        Real tol_rel = Real(0), Real tol_abs = Real(-1));
 
 /// All eigenvalues, ascending. O(n^2 log(1/tol)); intended for n <= a few
-/// thousand (tests and MRRR bootstrap).
+/// thousand (tests and result checks).
 template <typename Real>
 std::vector<Real> bisect_all(index_t n, const Real* d, const Real* e, Real tol_rel = Real(0),
                              Real tol_abs = Real(-1));

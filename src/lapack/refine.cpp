@@ -27,10 +27,15 @@ struct TridiagLU {
     u1.assign(n, 0.0);
     u2.assign(n, 0.0);
     swapped.assign(n, 0);
-    const double tiny = real_traits<double>::safmin() / real_traits<double>::eps();
     std::vector<double> a(n), b(n > 1 ? n - 1 : 0), c(n > 1 ? n - 1 : 0);
     for (index_t i = 0; i < n; ++i) a[i] = d[i] - lambda;
     for (index_t i = 0; i + 1 < n; ++i) b[i] = c[i] = e[i];
+    // Near-zero pivots become eps * ||T - lambda I|| (dlagts), as in
+    // stein.cpp: a degenerate eigenspace then grows evenly under the solve.
+    double amax = 0.0;
+    for (index_t i = 0; i < n; ++i) amax = std::max(amax, std::fabs(a[i]));
+    for (index_t i = 0; i + 1 < n; ++i) amax = std::max(amax, std::fabs(e[i]));
+    const double tiny = std::max(real_traits<double>::eps() * amax, real_traits<double>::safmin());
     for (index_t i = 0; i < n; ++i) {
       u0[i] = a[i];
       if (i + 1 < n) {
@@ -220,11 +225,18 @@ RefineReport refine_eigenpairs(index_t n, const double* d, const double* e, doub
     // column knows. Bisection is fp64-accurate regardless of how wrong the
     // fp32 start was; ascending order + Gram-Schmidt against the already
     // re-extracted predecessors makes each member claim a distinct
-    // eigendirection (truly degenerate shifts coincide and GS alone picks
-    // the remaining basis vector, exactly as in dstein).
+    // eigendirection. Shifts closer than pertol to the previous member's
+    // are moved up to it (dstein): a truly degenerate eigenspace then grows
+    // evenly under the solve instead of along the one direction of an
+    // (almost) singular pivot, which Gram-Schmidt against the predecessors
+    // would reduce to round-off (type 2, n = 1000: orthogonality 4e-5).
+    const double pertol = 10.0 * eps * std::max(tnorm, real_traits<double>::safmin());
+    double prev_rho = 0.0;
     for (index_t k = s; k <= t; ++k) {
       double* vk = v + k * ldv;
-      const double rho = nvec == n ? bisect_eigenvalue<double>(n, d, e, k) : lam[k];
+      double rho = nvec == n ? bisect_eigenvalue<double>(n, d, e, k) : lam[k];
+      if (k > s && rho < prev_rho + pertol) rho = prev_rho + pertol;
+      prev_rho = rho;
       // Classical Gram-Schmidt run twice: after the solve collapses the
       // iterate towards the shift's eigendirection the remainder against the
       // predecessors can be small, and a single pass leaves eps/|remainder|

@@ -18,11 +18,19 @@ void stein_vector(index_t n, const Real* d, const Real* e, Real lambda, const Re
   // u1/u2, pivot flags).
   std::vector<Real> ml(n), u0(n), u1(n), u2(n);
   std::vector<char> swapped(n, 0);
-  const Real tiny = real_traits<Real>::safmin() / real_traits<Real>::eps();
   {
     std::vector<Real> a(n), b(n > 1 ? n - 1 : 0), c(n > 1 ? n - 1 : 0);
     for (index_t i = 0; i < n; ++i) a[i] = d[i] - lambda;
     for (index_t i = 0; i + 1 < n; ++i) b[i] = c[i] = e[i];
+    // A (near-)zero pivot is replaced by eps * ||T - lambda I|| (dlagts):
+    // every direction of a (near-)degenerate eigenspace then grows by about
+    // 1/eps per solve. A much smaller replacement would amplify one of them
+    // so far that orthogonalising against an earlier member's vector leaves
+    // only that vector's rounding error.
+    Real amax = 0;
+    for (index_t i = 0; i < n; ++i) amax = std::max(amax, std::fabs(a[i]));
+    for (index_t i = 0; i + 1 < n; ++i) amax = std::max(amax, std::fabs(e[i]));
+    const Real tiny = std::max(real_traits<Real>::eps() * amax, real_traits<Real>::safmin());
     for (index_t i = 0; i < n; ++i) {
       u0[i] = a[i];
       if (i + 1 < n) {
@@ -70,11 +78,15 @@ void stein_vector(index_t n, const Real* d, const Real* e, Real lambda, const Re
       x[i] = s / u0[i];
     }
   };
+  // Gram-Schmidt run twice (Kahan-Parlett): the solve can leave only a
+  // small remainder against the predecessors, and one pass would keep
+  // eps / |remainder| of cross-talk.
   const auto orthogonalize = [&] {
-    for (index_t q = 0; q < nprev; ++q) {
-      const Real* vq = prev + q * ldprev;
-      blas::axpy(n, -blas::dot(n, vq, z), vq, z);
-    }
+    for (int pass = 0; pass < 2; ++pass)
+      for (index_t q = 0; q < nprev; ++q) {
+        const Real* vq = prev + q * ldprev;
+        blas::axpy(n, -blas::dot(n, vq, z), vq, z);
+      }
   };
   for (index_t i = 0; i < n; ++i) z[i] = static_cast<Real>(rng.uniform_sym());
   for (int it = 0; it < 4; ++it) {

@@ -15,31 +15,61 @@
 #include "common/timer.hpp"
 #include "lapack/bisect.hpp"
 #include "lapack/refine.hpp"
+#include "lapack/scale.hpp"
 #include "lapack/stein.hpp"
+#include "mrrr/dqds.hpp"
 #include "mrrr/getvec.hpp"
 #include "mrrr/ldl.hpp"
 #include "obs/health.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace dnc::mrrr {
 namespace {
 
+/// Task kinds. "Bisection" computes a block's root representation and its
+/// eigenvalues (by dqds; the name predates that and is what traces and the
+/// benchmark ledger key on).
 struct MrrrKinds {
-  rt::KindId bisect, refine, getvec, cluster, setup, sort;
+  rt::KindId bisect, getvec, cluster, sort;
   explicit MrrrKinds(rt::TaskGraph& g) {
-    setup = g.register_kind("RootRep", false, "#aaaaaa");
     bisect = g.register_kind("Bisection", false, "#1f77b4");
-    refine = g.register_kind("RefineEig", false, "#17becf");
     getvec = g.register_kind("Getvec", false, "#9467bd");
     cluster = g.register_kind("ClusterShift", false, "#d62728");
     sort = g.register_kind("SortEigenvectors", true, "#8c564b");
   }
 };
 
-/// A unit of representation-tree work: a contiguous index range [k0, k1)
-/// (block-local) whose eigenvalues share the representation `rep` and are
-/// currently approximated by lam_local (relative to rep->sigma).
+/// Times the root shift moves further down when rounding leaves a
+/// non-positive pivot in the root factorization.
+constexpr int kRootShiftRetries = 8;
+
+/// Eigenvalue k of `rep` by bisection in guess +- pad. The bracket is
+/// checked with Sturm counts first and widened while it misses eigenvalue k
+/// (the guess carries the parent level's error); a bracket that still
+/// misses after kBracketWidenings widenings throws NumericalError.
+template <typename Real>
+Real refine_member(const RepresentationT<Real>& rep, index_t k, Real guess, Real pad) {
+  constexpr int kBracketWidenings = 8;
+  Real lo = guess - pad, hi = guess + pad;
+  for (int i = 0;; ++i) {
+    const bool lo_ok = sturm_count_ldl(rep, lo) <= k;
+    const bool hi_ok = sturm_count_ldl(rep, hi) > k;
+    if (lo_ok && hi_ok) break;
+    if (i == kBracketWidenings)
+      throw NumericalError("mrrr: no bracket for a cluster eigenvalue", static_cast<long>(k));
+    pad *= Real(4);
+    if (!lo_ok) lo = guess - pad;
+    if (!hi_ok) hi = guess + pad;
+  }
+  return bisect_ldl(rep, k, lo, hi, Real(0));
+}
+
+/// A unit of representation-tree work: a contiguous range [k0, k1) of
+/// global eigenvalue indices inside one block whose eigenvalues share the
+/// representation `rep` and are currently approximated by lam_local
+/// (relative to rep->sigma).
 template <typename Real>
 struct WorkItemT {
   std::shared_ptr<RepresentationT<Real>> rep;
@@ -74,11 +104,15 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   const Real eps = real_traits<Real>::eps();
   const Real safmin = real_traits<Real>::safmin();
 
+  // The working copy of T is scaled to unit norm (as the D&C drivers do),
+  // so matrices near the overflow or underflow threshold solve like any
+  // other; the eigenvalues are scaled back at the end.
+  std::vector<Real> dw(d, d + n), ew(e, e + n - 1);
+  const Real orgnrm = lapack::scale_problem(n, dw.data(), ew.data());
   // dlarre's unconditional random ulp perturbation of the working copy of
   // T: absolutely degenerate ("glued") eigenvalues split by O(eps ||T||),
   // after which close-by shifts can create large relative gaps. Without
   // this no shift strategy can separate a zero-width cluster.
-  std::vector<Real> dw(d, d + n), ew(e, e + n - 1);
   {
     Rng prng(0x135735ULL);
     for (auto& x : dw) x *= Real(1) + Real(4) * eps * Real(prng.uniform_sym());
@@ -100,12 +134,11 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
   rt::Runtime runtime(graph, opt.threads);
 
   std::mutex next_mu;
-  std::vector<std::shared_ptr<rt::Handle>> block_handles;
   std::vector<WorkItem> items;
   index_t cluster_count = 0;
   int depth_used = 0;
 
-  // ---- per block: root representation + eigenvalue bootstrap ----
+  // ---- per block: root representation + dqds eigenvalues ----
   for (std::size_t b = 0; b + 1 < block_start.size(); ++b) {
     const index_t off = block_start[b];
     const index_t bn = block_start[b + 1] - off;
@@ -114,91 +147,52 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
       v(off, off) = Real(1);
       continue;
     }
-    const Real* bd = d + off;
-    const Real* be = e + off;
-    Real glo, ghi;
-    lapack::gershgorin_bounds(bn, bd, be, glo, ghi);
-    const Real spread = std::max(ghi - glo, safmin);
-    // Root shift just below the spectrum keeps D positive (definite
-    // factorization => relatively robust).
-    const Real sigma0 = glo - Real(0.03125) * spread;
-    auto root = std::make_shared<RepresentationT<Real>>(ldl_factor(bn, bd, be, sigma0));
-    // The crude pass only needs to land inside the refinement bracket; the
-    // LDL bisection below restores full relative accuracy. A loose crude
-    // tolerance halves the total Sturm-count work.
-    const Real crude_tol = std::max(Real(1.0e-8) * spread,
-                                    Real(4) * eps * std::max(std::fabs(glo), std::fabs(ghi)));
-
-    // Crude eigenvalues for the whole block in one task (the recursive
-    // interval bisection shares Sturm counts across eigenvalues), then
-    // grain-sized refinement tasks against the root representation.
-    auto crude = std::make_shared<std::vector<Real>>();
-    auto hblock = std::make_shared<rt::Handle>("block");
-    block_handles.push_back(hblock);
     graph.submit(K.bisect,
-                 [bd, be, bn, crude, crude_tol] {
-                   *crude = lapack::bisect_all(bn, bd, be, Real(0), crude_tol);
+                 [&, off, bn] {
+                   const Real* bd = d + off;
+                   const Real* be = e + off;
+                   Real glo, ghi;
+                   lapack::gershgorin_bounds(bn, bd, be, glo, ghi);
+                   // Root shift just below the spectrum keeps D positive
+                   // (definite factorization => relatively robust). Should
+                   // rounding still leave a non-positive pivot, the shift
+                   // moves further down a bounded number of times.
+                   Real margin = std::max({Real(0.03125) * (ghi - glo),
+                                           Real(4) * eps * std::max(std::fabs(glo), std::fabs(ghi)),
+                                           safmin});
+                   auto root = std::make_shared<RepresentationT<Real>>();
+                   for (int attempt = 0;; ++attempt) {
+                     *root = ldl_factor(bn, bd, be, glo - margin);
+                     if (std::all_of(root->d.begin(), root->d.end(), [](Real x) {
+                           return x > Real(0) && std::isfinite(x);
+                         }))
+                       break;
+                     if (attempt == kRootShiftRetries)
+                       throw NumericalError("mrrr: no positive definite root representation",
+                                            static_cast<long>(off));
+                     margin *= Real(8);
+                   }
+                   WorkItem item;
+                   item.rep = root;
+                   item.k0 = off;
+                   item.k1 = off + bn;
+                   item.lam_local = dqds_eigenvalues(*root);
+                   std::lock_guard<std::mutex> lk(next_mu);
+                   items.push_back(std::move(item));
                  },
-                 {{hblock.get(), rt::Access::InOut}});
-    const index_t nchunks = (bn + opt.grain - 1) / opt.grain;
-    for (index_t c = 0; c < nchunks; ++c) {
-      const index_t k0 = c * opt.grain;
-      const index_t k1 = std::min(k0 + opt.grain, bn);
-      graph.submit(K.refine,
-                   [&, off, k0, k1, root, crude, crude_tol, spread, eps] {
-                     WorkItem item;
-                     item.rep = root;
-                     item.k0 = k0;
-                     item.k1 = k1;
-                     item.lam_local.resize(k1 - k0);
-                     for (index_t k = k0; k < k1; ++k) {
-                       const Real w = (*crude)[k];
-                       // Refine against the root representation for high
-                       // relative accuracy w.r.t. the shifted origin.
-                       const Real lo = (w - root->sigma) - Real(4) * crude_tol - eps * spread;
-                       const Real hi = (w - root->sigma) + Real(4) * crude_tol + eps * spread;
-                       item.lam_local[k - k0] = bisect_ldl(*item.rep, k, lo, hi, Real(0));
-                     }
-                     std::lock_guard<std::mutex> lk(next_mu);
-                     // Block offset is folded in by shifting indices here.
-                     item.k0 += off;
-                     item.k1 += off;
-                     items.push_back(std::move(item));
-                   },
-                   {{hblock.get(), rt::Access::In}});
-    }
+                 {});
   }
   runtime.wait_all();
 
-  // Re-split bootstrap items so each WorkItem's indices are block-local
-  // again (store block offset alongside). To keep the structure simple we
-  // record the owning block for every global index.
-  std::vector<index_t> block_of(n), block_off(n);
+  // Owning block offset of every global index.
+  std::vector<index_t> block_off(n);
   for (std::size_t b = 0; b + 1 < block_start.size(); ++b)
-    for (index_t i = block_start[b]; i < block_start[b + 1]; ++i) {
-      block_of[i] = static_cast<index_t>(b);
-      block_off[i] = block_start[b];
-    }
+    for (index_t i = block_start[b]; i < block_start[b + 1]; ++i) block_off[i] = block_start[b];
 
   // ---- representation tree, level by level ----
-  // Merge bootstrap chunks that belong to one block into a single sorted
-  // item so cluster detection sees the whole block.
-  {
-    std::vector<WorkItem> merged;
-    std::sort(items.begin(), items.end(),
-              [](const WorkItem& a, const WorkItem& b) { return a.k0 < b.k0; });
-    for (auto& it : items) {
-      if (!merged.empty() && merged.back().rep == it.rep && merged.back().k1 == it.k0) {
-        merged.back().lam_local.insert(merged.back().lam_local.end(), it.lam_local.begin(),
-                                       it.lam_local.end());
-        merged.back().k1 = it.k1;
-      } else {
-        merged.push_back(std::move(it));
-      }
-    }
-    items = std::move(merged);
-  }
-
+  // Blocks finish in any order; a fixed order keeps the tree deterministic.
+  std::sort(items.begin(), items.end(),
+            [](const WorkItem& a, const WorkItem& b) { return a.k0 < b.k0; });
   std::vector<WorkItem> current = std::move(items);
   while (!current.empty()) {
     std::vector<WorkItem> next;
@@ -324,13 +318,19 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
                   childitem.rep = childrep;
                   childitem.lam_local.resize(grp.size());
                   const Real tau = childrep->sigma - rep->sigma;
-                  for (std::size_t j = 0; j < grp.size(); ++j) {
-                    const index_t klocal = g0 + static_cast<index_t>(j) - boff;
-                    const Real guess = grp[j] - tau;
-                    const Real pad = width + delta * Real(16) + safmin;
-                    childitem.lam_local[j] =
-                        bisect_ldl(*childrep, klocal, guess - pad, guess + pad, Real(0));
-                  }
+                  const Real pad = width + delta * Real(16) + safmin;
+                  // Members are refined against the child in parallel,
+                  // opt.grain per subtask.
+                  const index_t m = static_cast<index_t>(grp.size());
+                  const index_t grain = std::max<index_t>(1, opt.grain);
+                  rt::spawn_and_wait("refine", static_cast<long>((m + grain - 1) / grain),
+                                     [&](long c) {
+                                       const index_t j0 = static_cast<index_t>(c) * grain;
+                                       for (index_t j = j0; j < std::min(j0 + grain, m); ++j)
+                                         childitem.lam_local[j] =
+                                             refine_member(*childrep, g0 + j - boff,
+                                                           grp[j] - tau, pad);
+                                     });
                 } else {
                   // Could not build a child representation: fall back to
                   // treating members as singletons of the parent.
@@ -407,7 +407,8 @@ void mrrr_solve_impl(index_t n, const Real* d, const Real* e, std::vector<Real>&
 
   // ---- global ascending sort of the eigenpairs ----
   graph.submit(K.sort,
-               [&, n] {
+               [&, n, orgnrm] {
+                 lapack::unscale_eigenvalues(n, lam.data(), orgnrm);
                  std::vector<index_t> order(n);
                  std::iota(order.begin(), order.end(), index_t{0});
                  std::sort(order.begin(), order.end(),
@@ -466,7 +467,7 @@ void mrrr_solve(index_t n, const double* d, const double* e, std::vector<double>
   // for the epilogue to record it, so substitute a local Stats when the
   // caller passed none. mrrr_solve keeps (d, e) intact, so the health probe
   // needs no snapshot -- it reads the caller's buffers after the solve.
-  require_finite_tridiagonal(n, d, e, "mrrr_solve");
+  require_finite_tridiagonal(n, d, e, "mrrr_solve", opt.precision != Precision::F64);
   const bool telemetry = obs::solve_telemetry_wanted() && n > 0;
   Stats local;
   Stats* st = stats ? stats : (telemetry ? &local : nullptr);

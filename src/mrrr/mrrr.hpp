@@ -2,13 +2,15 @@
 // eigensolver, in the task-parallel style of MR3-SMP (Petschow &
 // Bientinesi) -- the comparator of the paper's Figures 8-10.
 //
-// Pipeline: split into unreduced blocks -> per block, a root LDL^T
-// representation just outside the spectrum -> eigenvalues by Sturm
-// bisection refined against the representation -> representation tree:
-// singletons get a twisted-factorization eigenvector, clusters get a
-// shifted child representation and recurse. Independent (sub)tasks are
-// executed by the same task runtime as the D&C solver, so traces and
-// simulated parallel makespans are directly comparable.
+// Pipeline: scale to unit norm -> split into unreduced blocks -> per block
+// (one task each), a positive definite root LDL^T representation just below
+// the spectrum and all its eigenvalues by dqds (mrrr/dqds.hpp) ->
+// representation tree: singletons get a twisted-factorization eigenvector,
+// clusters get a shifted child representation, their members are refined
+// against it by LDL^T bisection in parallel subtasks, and they recurse.
+// Independent (sub)tasks are executed by the same task runtime as the D&C
+// solver, so traces and simulated parallel makespans are directly
+// comparable.
 #pragma once
 
 #include <vector>
@@ -35,8 +37,8 @@ struct Options {
   /// Maximum representation-tree depth; clusters still unresolved at this
   /// depth are treated as singletons (the usual MRRR accuracy trade-off).
   int max_depth = 8;
-  /// Eigenvalue indices per bisection/getvec task (granularity knob,
-  /// MR3-SMP's task size).
+  /// Cluster members per refinement subtask (granularity knob, MR3-SMP's
+  /// task size); every singleton is its own getvec task.
   index_t grain = 32;
 };
 

@@ -59,6 +59,7 @@ const char* counter_name(int c) noexcept {
     case kSturmSteps: return "sturm_steps";
     case kBisectLdlCalls: return "bisect_ldl_calls";
     case kBisectLdlSteps: return "bisect_ldl_steps";
+    case kDqdsSweeps: return "dqds_sweeps";
     case kGemmCalls: return "gemm_calls";
     case kGemmFlops: return "gemm_flops";
     case kGemmPackedBytes: return "gemm_packed_bytes";

@@ -1,6 +1,6 @@
 // Algorithmic counters: the low-overhead half of the observability layer.
 //
-// Hot kernels (laed4, sturm_count, gemm, bisect_ldl) bump thread-local
+// Hot kernels (laed4, sturm_count, gemm, bisect_ldl, dqds) bump thread-local
 // counter blocks -- no locks, no shared cache lines on the hot path; a
 // mutex is taken only once per thread (registration) and on snapshot().
 // Drivers capture a snapshot at solve start and diff it at solve end
@@ -36,6 +36,8 @@ enum Counter : int {
   // LDL^T bisection of the MRRR representation tree.
   kBisectLdlCalls,
   kBisectLdlSteps,  ///< interval halvings
+  // dqds root eigenvalues of the MRRR representation tree (mrrr/dqds.cpp).
+  kDqdsSweeps,  ///< completed shifted sweeps
   // GEMM (blas/gemm.cpp).
   kGemmCalls,
   kGemmFlops,        ///< 2*m*n*k per call

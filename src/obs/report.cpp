@@ -241,6 +241,7 @@ std::string SolveReport::summary_text() const {
           ull(counters[kSturmSteps]));
   appendf(out, "ldl bisection : %llu calls, %llu halvings\n", ull(counters[kBisectLdlCalls]),
           ull(counters[kBisectLdlSteps]));
+  appendf(out, "dqds          : %llu sweeps\n", ull(counters[kDqdsSweeps]));
   appendf(out, "gemm          : %llu calls, %.3f GFLOP, %.1f MiB packed\n",
           ull(counters[kGemmCalls]), counters[kGemmFlops] * 1e-9,
           counters[kGemmPackedBytes] / (1024.0 * 1024.0));

@@ -188,6 +188,42 @@ TEST(InputContract, NonFiniteEntryThrowsInvalidArgumentInEveryDriver) {
   }
 }
 
+// The fp32 precisions narrow (d, e) before scaling, so an entry beyond
+// FLT_MAX would become Inf inside the solve. Every driver rejects it on
+// entry under F32 and F32RefineF64, exactly like a NaN.
+TEST(InputContract, BeyondFp32RangeThrowsInvalidArgumentUnderFp32Precisions) {
+  const index_t n = 800;
+  const matgen::Tridiag base = matgen::table3_matrix(4, n);
+  for (const Precision prec : {Precision::F32, Precision::F32RefineF64}) {
+    for (const bool in_d : {true, false}) {
+      matgen::Tridiag t = base;
+      if (in_d)
+        t.d[17] = 1e300;
+      else
+        t.e[17] = -1e39;
+      const char* where = in_d ? ", 1e300 in d" : ", -1e39 in e";
+      for (int drv = 0; drv < 4; ++drv) {
+        std::vector<double> d = t.d, e = t.e;
+        Matrix v;
+        Options opt;
+        opt.threads = 4;
+        opt.precision = prec;
+        EXPECT_THROW(run_driver(static_cast<Driver>(drv), n, d.data(), e.data(), v, opt),
+                     InvalidArgument)
+            << "driver " << drv << ", " << precision_name(prec) << where;
+        EXPECT_EQ(std::memcmp(d.data(), t.d.data(), n * sizeof(double)), 0) << "driver " << drv;
+      }
+      std::vector<double> lam;
+      Matrix v;
+      mrrr::Options mopt;
+      mopt.threads = 4;
+      mopt.precision = prec;
+      EXPECT_THROW(mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, mopt), InvalidArgument)
+          << "mrrr, " << precision_name(prec) << where;
+    }
+  }
+}
+
 TEST(Stedc, DriversAgreeOnEigenvalues) {
   const index_t n = 120;
   auto t = matgen::table3_matrix(6, n, 3);

@@ -40,7 +40,42 @@ TEST_P(MrrrTypes, SolvesTable3) {
   expect_mrrr_quality(t, lam, v);
 }
 
+TEST_P(MrrrTypes, SolvesTable3At512FourThreads) {
+  const int type = GetParam();
+  const index_t n = 512;
+  auto t = matgen::table3_matrix(type, n, 31);
+  std::vector<double> lam;
+  Matrix v;
+  Options opt;
+  opt.threads = 4;
+  mrrr_solve(n, t.d.data(), t.e.data(), lam, v, opt);
+  expect_mrrr_quality(t, lam, v);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTypes, MrrrTypes, ::testing::Range(1, 16));
+
+TEST(Mrrr, ExtremeScalingStaysWithinGates) {
+  DNC_SKIP_IF_F32_RANGE_EXCEEDED();
+  // MRRR scales its working copy to unit norm like the D&C drivers. The
+  // gates are scale-invariant, so the eigenvalues are checked scaled back
+  // against the unit-scale matrix (bisection cannot run at 1e300: e^2
+  // overflows in its Sturm count).
+  const index_t n = 800;
+  const auto t = matgen::table3_matrix(4, n);
+  for (const double scale : {1e300, 1e-300, 1e150, 1e-150}) {
+    auto ts = t;
+    for (auto& x : ts.d) x *= scale;
+    for (auto& x : ts.e) x *= scale;
+    std::vector<double> lam;
+    Matrix v;
+    Options opt;
+    opt.threads = 4;
+    mrrr_solve(n, ts.d.data(), ts.e.data(), lam, v, opt);
+    for (auto& x : lam) x /= scale;
+    SCOPED_TRACE(scale);
+    expect_mrrr_quality(t, lam, v);
+  }
+}
 
 TEST(Mrrr, TinySizes) {
   for (index_t n : {index_t{1}, index_t{2}, index_t{3}}) {
@@ -71,6 +106,19 @@ TEST(Mrrr, GluedWilkinson) {
   // Glued Wilkinson is the canonical hard case for MRRR: expect a couple of
   // digits of orthogonality loss (the paper's Fig. 9 shows the same for
   // MR3-SMP) but still a usable decomposition.
+  expect_mrrr_quality(t, lam, v, 1e-11);
+}
+
+TEST(Mrrr, GluedWilkinsonWithExactDoubleEigenvalue) {
+  // The Figure 10 glued matrix: eigenvalues 359 and 360 agree to the last
+  // bit, so their vectors come from inverse iteration at one shift. A
+  // near-zero pivot replaced by ~safmin amplified one direction of that
+  // eigenspace so far that orthogonalising the second vector against the
+  // first left rounding noise (residual 1e-4); pivots are now eps * ||T||.
+  auto t = matgen::glued_wilkinson(21, 20, 1e-4);
+  std::vector<double> lam;
+  Matrix v;
+  mrrr_solve(t.n(), t.d.data(), t.e.data(), lam, v);
   expect_mrrr_quality(t, lam, v, 1e-11);
 }
 

@@ -213,6 +213,29 @@ TEST(PrecisionSolve, RefineGateMrrrAllFamilies) {
   }
 }
 
+/// A 999-fold eigenvalue (type 2, n = 1000): the cluster re-extraction of
+/// the refinement runs inverse iteration at one shift for every member, so
+/// the shifts must be spread (dstein) for the solve to grow the whole
+/// eigenspace evenly. With equal shifts the task-flow result came back with
+/// orthogonality ~4e-5.
+TEST(PrecisionSolve, RefineGateDegenerateClusterAtN1000) {
+  const index_t n = 1000;
+  const auto t = matgen::table3_matrix(2, n, 3);
+  std::vector<double> d = t.d, e = t.e;
+  Matrix v;
+  dc::Options opt;
+  opt.precision = Precision::F32RefineF64;
+  dc::stedc_taskflow(n, d.data(), e.data(), v, opt);
+  EXPECT_LT(verify::orthogonality(v), 100.0 * kEps64);
+  EXPECT_LT(verify::reduction_residual(t, d, v), 100.0 * kEps64);
+  std::vector<double> lam;
+  mrrr::Options mopt;
+  mopt.precision = Precision::F32RefineF64;
+  mrrr::mrrr_solve(n, t.d.data(), t.e.data(), lam, v, mopt);
+  EXPECT_LT(verify::orthogonality(v), 200.0 * kEps64);
+  EXPECT_LT(verify::reduction_residual(t, lam, v), 100.0 * kEps64);
+}
+
 TEST(PrecisionSolve, RefineReportEmptyUnderPureModes) {
   const index_t n = 80;
   auto t = matgen::table3_matrix(3, n, 9);
