@@ -18,7 +18,9 @@ int main() {
               "  ComputeLocalW/Red.  Theta(k^2)\n"
               "  CopyBackDeflated    Theta(n(n-k))     [memory bound]\n"
               "  ComputeVect         Theta(k^2)\n"
-              "  UpdateVect (GEMM)   Theta(n k^2)      [dominant]\n\n");
+              "  UpdateVect (GEMM)   Theta(n k^2)      [dominant]\n"
+              "here deflated columns stay in place: PermuteV copies Theta(n k) and\n"
+              "CopyBackDeflated Theta(n min(k, n-k)), the final sort Theta(n^2) once.\n\n");
 
   for (int type : {2, 3, 4}) {
     auto t = matgen::table3_matrix(type, n);
@@ -28,8 +30,9 @@ int main() {
                 st.trace.kernel_summary().c_str());
   }
   std::printf("expected shape: UpdateVect dominates (~90%% per the paper's Section IV) when\n"
-              "deflation is low (type 4); Permute/CopyBack take over as deflation rises\n"
-              "(type 2), turning the merge memory bound.\n");
+              "deflation is low (type 4); in the paper Permute/CopyBack take over as\n"
+              "deflation rises (type 2), turning the merge memory bound; here they shrink\n"
+              "with k and the leaf STEDC solves take over instead.\n");
 
   // Last-merge dominance: complexity analysis says the final merge is ~n^3
   // of the total 4n^3/3 (75 %). Check by timing two runs whose trees differ

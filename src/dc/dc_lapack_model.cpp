@@ -74,21 +74,20 @@ void stedc_lapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
     });
     // dlaed2's permutation copy and dlaed3's secular loop are sequential.
     chain(K.permute, [&, ctx] {
-      permute_panel(ctx->defl, ctx->qblock(v), ctx->w1(ws), ctx->w2(ws), ctx->wdefl(ws), 0,
+      permute_panel(ctx->defl, ctx->qblock(v), ctx->w1(ws), ctx->w2(ws), MatrixViewT<Real>{}, 0,
                     ctx->node.m);
     });
     chain(K.laed4, [&, ctx, i0] {
       secular_solve_panel(ctx->defl, 0, ctx->node.m, d + i0, ctx->deltam(ws));
     });
-    chain(K.localw, [&, ctx] {
-      zhat_local_panel(ctx->defl, ctx->deltam(ws), 0, ctx->node.m, ctx->wparts.data());
-    });
+    chain(K.localw, [&, ctx] { zhat_local_panels(*ctx, ctx->deltam(ws), nb); });
     chain(K.reducew, [&, ctx, i0] {
-      zhat_reduce(ctx->defl, ctx->wparts.view(), 1, ctx->zhat.data());
+      zhat_reduce(ctx->defl, ctx->wparts.view(), ctx->npanels, ctx->zhat.data());
       finalize_order(*ctx, d + i0, perm.data() + i0);
     });
-    chain(K.copyback,
-          [&, ctx] { copyback_panel(ctx->defl, ctx->wdefl(ws), 0, ctx->node.m, ctx->qblock(v)); });
+    chain(K.copyback, [&, ctx] {
+      copyback_panel(ctx->defl, MatrixViewT<Real>{}, 0, ctx->node.m, ctx->qblock(v));
+    });
     chain(K.computevect, [&, ctx] {
       secular_vectors_panel(ctx->defl, ctx->deltam(ws), ctx->zhat.data(), 0, ctx->node.m,
                             ctx->smat(ws));
@@ -112,7 +111,7 @@ void stedc_lapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
   }
 
   chain(K.sort, [&, n] {
-    detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0, ws);
+    detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0);
   });
   chain(K.scale, [&, n] { lapack::unscale_eigenvalues(n, d, orgnrm); });
 

@@ -100,7 +100,7 @@ void stedc_scalapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
         graph.submit(K.permute,
                      [&, ctx, j0, j1] {
                        permute_panel(ctx->defl, ctx->qblock(v), ctx->w1(ws), ctx->w2(ws),
-                                     ctx->wdefl(ws), j0, j1);
+                                     MatrixViewT<Real>{}, j0, j1);
                      },
                      {{&hnode[i], rt::Access::GatherV}},
                      detail::task_priority(node.level, false));
@@ -111,16 +111,13 @@ void stedc_scalapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
                      {{&hnode[i], rt::Access::GatherV}},
                      detail::task_priority(node.level, false));
       }
-      graph.submit(K.localw,
-                   [&, ctx] {
-                     zhat_local_panel(ctx->defl, ctx->deltam(ws), 0, ctx->node.m,
-                                      ctx->wparts.data());
-                   },
+      graph.submit(K.localw, [&, ctx] { zhat_local_panels(*ctx, ctx->deltam(ws), nb); },
                    {{&hnode[i], rt::Access::InOut}},
                    detail::task_priority(node.level, false));
       graph.submit(K.reducew,
                    [&, ctx, i0] {
-                     zhat_reduce(ctx->defl, ctx->wparts.view(), 1, ctx->zhat.data());
+                     zhat_reduce(ctx->defl, ctx->wparts.view(), ctx->npanels,
+                                 ctx->zhat.data());
                      finalize_order(*ctx, d + i0, perm.data() + i0);
                    },
                    {{&hnode[i], rt::Access::InOut}},
@@ -130,7 +127,8 @@ void stedc_scalapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
         const index_t j1 = std::min(j0 + nb, node.m);
         graph.submit(K.copyback,
                      [&, ctx, j0, j1] {
-                       copyback_panel(ctx->defl, ctx->wdefl(ws), j0, j1, ctx->qblock(v));
+                       copyback_panel(ctx->defl, MatrixViewT<Real>{}, j0, j1,
+                                      ctx->qblock(v));
                      },
                      {{&hnode[i], rt::Access::GatherV}},
                      detail::task_priority(node.level, false));
@@ -167,7 +165,7 @@ void stedc_scalapack_model_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v,
 
   graph.submit(K.sort,
                [&, n] {
-                 detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0, ws);
+                 detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0);
                  lapack::unscale_eigenvalues(n, d, orgnrm);
                },
                {{&hbar, rt::Access::InOut}, {&hnode[plan.root], rt::Access::InOut}});

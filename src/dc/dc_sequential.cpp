@@ -49,15 +49,28 @@ void solve_leaf(const TreeNode& node, Real* d, Real* e, MatrixT<Real>& v, index_
 }
 
 template <typename Real>
-void sort_eigenpairs(index_t n, Real* d, MatrixT<Real>& v, const index_t* perm,
-                     WorkspaceT<Real>& ws) {
-  std::vector<Real> dsorted(n);
+void sort_eigenpairs(index_t n, Real* d, MatrixT<Real>& v, const index_t* perm) {
+  std::vector<bool> placed(n, false);
+  std::vector<Real> col(n);
+  const auto column = [&](index_t j) { return v.data() + j * v.ld(); };
   for (index_t r = 0; r < n; ++r) {
-    dsorted[r] = d[perm[r]];
-    blas::copy(n, v.data() + perm[r] * v.ld(), ws.qwork.data() + r * ws.qwork.ld());
+    if (placed[r] || perm[r] == r) continue;
+    // Lift column r out, pull each column of the cycle into the slot it
+    // belongs to, and drop column r into the last slot.
+    const Real dr = d[r];
+    blas::copy(n, column(r), col.data());
+    index_t j = r;
+    for (index_t src = perm[j]; src != r; src = perm[j]) {
+      DNC_ASSERT(!placed[src]);
+      d[j] = d[src];
+      blas::copy(n, column(src), column(j));
+      placed[j] = true;
+      j = src;
+    }
+    d[j] = dr;
+    blas::copy(n, col.data(), column(j));
+    placed[j] = true;
   }
-  blas::copy(n, dsorted.data(), d);
-  blas::lacpy(n, n, ws.qwork.data(), ws.qwork.ld(), v.data(), v.ld());
 }
 
 template <typename Real>
@@ -141,8 +154,7 @@ void finish_report(const obs::SolveScope& scope,
   template bool solve_trivial<Real>(index_t, Real*, Real*, MatrixT<Real>&);                  \
   template void adjust_boundaries<Real>(const Plan&, Real*, const Real*);                    \
   template void solve_leaf<Real>(const TreeNode&, Real*, Real*, MatrixT<Real>&, index_t*);   \
-  template void sort_eigenpairs<Real>(index_t, Real*, MatrixT<Real>&, const index_t*,        \
-                                      WorkspaceT<Real>&);                                    \
+  template void sort_eigenpairs<Real>(index_t, Real*, MatrixT<Real>&, const index_t*);       \
   template std::vector<std::unique_ptr<MergeContextT<Real>>> make_contexts<Real>(            \
       const Plan&, const Real*, index_t);                                                    \
   template void fill_stats<Real>(                                                            \
@@ -204,7 +216,7 @@ void stedc_sequential_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const 
       merge_sequential(*ctxs[i], v, ws, d + node.i0, perm.data() + node.i0, opt.nb);
     }
   }
-  detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0, ws);
+  detail::sort_eigenpairs(n, d, v, perm.data() + plan.nodes[plan.root].i0);
   lapack::unscale_eigenvalues(n, d, orgnrm);
 
   detail::fill_stats(plan, ctxs, stats);

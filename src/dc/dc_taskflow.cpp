@@ -9,6 +9,11 @@
 //   ReduceW                                 (join, INOUT node block)
 //   per panel p: CopyBackDeflated -> ComputeVect -> UpdateVect
 //
+// CopyBackDeflated of panel p moves the deflated columns that sit in the
+// panel's part of [0, k) to their slots >= k before its UpdateVect
+// overwrites them; the slots are no panel's output, so panels stay
+// independent. The root block is sorted in place by one final task.
+//
 // Independent merges (different branches of the tree) share no handles and
 // therefore overlap freely; merges on the same branch are ordered through
 // the sons' block handles. With opt.extra_workspace the PermuteV/LAED4 and
@@ -17,7 +22,6 @@
 #include <memory>
 
 #include "blas/aux.hpp"
-#include "blas/level1.hpp"
 #include "common/timer.hpp"
 #include "dc/api.hpp"
 #include "dc/driver_common.hpp"
@@ -54,7 +58,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
   const Kinds K(graph);
   // One handle per tree node (its eigenvector block + eigenvalue range),
   // one or two per (node, panel) for intra-panel chaining, one for the
-  // scale/partition prologue, one per sort panel.
+  // scale/partition prologue.
   rt::Handle hT("T");
   std::vector<rt::Handle> hblock(plan.nodes.size());
   std::vector<std::vector<rt::Handle>> hpanel(plan.nodes.size());
@@ -65,11 +69,9 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
       if (opt.extra_workspace) hpanel2[i].resize(ctxs[i]->npanels);
     }
   }
-  const index_t nsortpanels = (n + nb - 1) / nb;
-  std::vector<rt::Handle> hsort(nsortpanels);
+  const index_t nvpanels = (n + nb - 1) / nb;
 
   Real orgnrm = 0;
-  std::vector<Real> dsorted(n);
 
   rt::Runtime runtime(graph, opt.threads);
 
@@ -79,7 +81,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
   graph.submit(K.partition, [&] { detail::adjust_boundaries(plan, d, e); },
                {{&hT, rt::Access::InOut}});
   // Zero-fill V by column panels (the LASET tasks of the paper's Table II).
-  for (index_t p = 0; p < nsortpanels; ++p) {
+  for (index_t p = 0; p < nvpanels; ++p) {
     graph.submit(K.laset,
                  [&, p, nb, n] {
                    const index_t j0 = p * nb;
@@ -123,7 +125,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
           .submit(K.permute,
                   [&, ctx, j0, j1] {
                     permute_panel(ctx->defl, ctx->qblock(v), ctx->w1(ws), ctx->w2(ws),
-                                  ctx->wdefl(ws), j0, j1);
+                                  MatrixViewT<Real>{}, j0, j1);
                   },
                   {{&hblock[i], rt::Access::GatherV}, {hp, rt::Access::InOut}},
                   detail::task_priority(node.level, false))
@@ -165,7 +167,7 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
       graph
           .submit(K.copyback,
                   [&, ctx, j0, j1] {
-                    copyback_panel(ctx->defl, ctx->wdefl(ws), j0, j1, ctx->qblock(v));
+                    copyback_panel(ctx->defl, MatrixViewT<Real>{}, j0, j1, ctx->qblock(v));
                   },
                   {{&hblock[i], rt::Access::GatherV}, {hp, rt::Access::InOut}},
                   detail::task_priority(node.level, false))
@@ -193,36 +195,10 @@ void stedc_taskflow_impl(index_t n, Real* d, Real* e, MatrixT<Real>& v, const Op
     }
   }
 
-  // --- final sort: gather columns in ascending-eigenvalue order into the
-  // workspace, then copy back (two GATHERV phases around joins). The
-  // leading join closes the root merge's GATHERV group -- without it the
-  // sort tasks would enter that group and overlap the last UpdateVect.
+  // --- final sort: one in-place pass over the root block ---
   const index_t root = plan.root;
-  graph.submit(K.sort, [] {}, {{&hblock[root], rt::Access::InOut}});
-  for (index_t p = 0; p < nsortpanels; ++p) {
-    graph.submit(K.sort,
-                 [&, p, nb, n] {
-                   const index_t r1 = std::min(p * nb + nb, n);
-                   for (index_t r = p * nb; r < r1; ++r) {
-                     dsorted[r] = d[perm[r]];
-                     blas::copy(n, v.data() + perm[r] * v.ld(),
-                                ws.qwork.data() + r * ws.qwork.ld());
-                   }
-                 },
-                 {{&hblock[root], rt::Access::GatherV}, {&hsort[p], rt::Access::InOut}});
-  }
-  graph.submit(K.sort, [&, n] { blas::copy(n, dsorted.data(), d); },
+  graph.submit(K.sort, [&, n] { detail::sort_eigenpairs(n, d, v, perm.data()); },
                {{&hblock[root], rt::Access::InOut}});
-  for (index_t p = 0; p < nsortpanels; ++p) {
-    graph.submit(K.sort,
-                 [&, p, nb, n] {
-                   const index_t j0 = p * nb;
-                   const index_t w = std::min(nb, n - j0);
-                   blas::lacpy(n, w, ws.qwork.data() + j0 * ws.qwork.ld(), ws.qwork.ld(),
-                               v.data() + j0 * v.ld(), v.ld());
-                 },
-                 {{&hblock[root], rt::Access::GatherV}, {&hsort[p], rt::Access::InOut}});
-  }
   graph.submit(K.scale, [&, n] { lapack::unscale_eigenvalues(n, d, orgnrm); },
                {{&hblock[root], rt::Access::InOut}, {&hT, rt::Access::InOut}});
 

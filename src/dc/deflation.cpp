@@ -54,16 +54,9 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
   for (index_t j = 0; j < m; ++j) coltyp[j] = j < n1 ? 1 : 3;
 
   std::vector<index_t> nondefl;  // physical cols, ascending pole order
-  std::vector<index_t> defl;     // physical cols, kept ascending by d value
+  std::vector<index_t> defl;     // physical cols, in the order they deflate
   nondefl.reserve(m);
   defl.reserve(m);
-  const auto defl_insert = [&](index_t j) {
-    // Insertion keeps the deflated set ascending even though rotations
-    // change d[j] after the merge order was fixed.
-    auto it = std::upper_bound(defl.begin(), defl.end(), d[j],
-                               [&](Real val, index_t p) { return val < d[p]; });
-    defl.insert(it, j);
-  };
 
   if (res.rho * zmax <= tol) {
     // Everything deflates (dlaed2's early exit): the merged system is
@@ -81,7 +74,7 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
         // survives unchanged.
         z[j] = 0;
         coltyp[j] = 4;
-        defl_insert(j);
+        defl.push_back(j);
         continue;
       }
       if (held < 0) {
@@ -105,7 +98,7 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
         const Real dh = d[held], dj = d[j];
         d[held] = dh * c * c + dj * s * s;
         d[j] = dh * s * s + dj * c * c;
-        defl_insert(held);
+        defl.push_back(held);
         held = j;
       } else {
         nondefl.push_back(held);
@@ -122,8 +115,11 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
     res.dlamda[r] = d[nondefl[r]];
     res.w[r] = z[nondefl[r]];
   }
-  res.d_defl.resize(m - res.k);
-  for (index_t t = 0; t < m - res.k; ++t) res.d_defl[t] = d[defl[t]];
+  // Rotations change d[j] after the merge order was fixed, so sort the
+  // deflated set by value once at the end. A deflated d[j] is final when
+  // its column is appended, and ties keep their deflation order.
+  std::stable_sort(defl.begin(), defl.end(),
+                   [&](index_t a, index_t b) { return d[a] < d[b]; });
 
   // Grouped order: types 1, 2, 3 (preserving ascending pole order within
   // each group), then the deflated columns.
@@ -143,6 +139,16 @@ DeflationResultT<Real> deflate(index_t n1, index_t n2, Real* d, Real* z, Real rh
     res.rank_of[g] = r;
   }
   for (index_t t = 0; t < m - res.k; ++t) res.indx[res.k + t] = defl[t];
+
+  // Secular eigenvectors take columns [0, k). Each deflated column there
+  // moves to the next column >= k that a non-deflated column frees; there
+  // are exactly as many of one as of the other.
+  index_t slot = res.k;
+  for (index_t j = 0; j < res.k; ++j) {
+    if (coltyp[j] != 4) continue;
+    while (coltyp[slot] == 4) ++slot;
+    res.moves.push_back({j, slot++});
+  }
   return res;
 }
 

@@ -11,11 +11,21 @@
 // more aggressively on the same matrix.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/matrix.hpp"
 
 namespace dnc::dc {
+
+/// A deflated column that sits in [0, k) of the node block, where the
+/// secular eigenvectors go: it moves once, inside the block, to column dst
+/// >= k, a slot whose non-deflated column was already compressed into
+/// w1 / w2.
+struct ColumnMove {
+  index_t src = 0;
+  index_t dst = 0;
+};
 
 /// Column types, exactly LAPACK dlaed2's classification:
 ///   1: non-deflated, support only in the first son (top n1 rows)
@@ -31,24 +41,38 @@ struct DeflationResultT {
 
   std::vector<Real> dlamda;  ///< k poles of the secular system, ascending
   std::vector<Real> w;       ///< z components for the poles (dlamda order)
-  std::vector<Real> d_defl;  ///< m-k deflated eigenvalues, ascending
 
-  /// Grouped storage order: positions 0..k-1 hold non-deflated columns
-  /// grouped by type (all 1s, then 2s, then 3s), positions k..m-1 the
-  /// deflated columns in ascending eigenvalue order. indx[g] is the
-  /// *physical* column (0-based within the node's block) at grouped
-  /// position g.
+  /// Grouped order: positions 0..k-1 hold non-deflated columns grouped by
+  /// type (all 1s, then 2s, then 3s), positions k..m-1 the deflated
+  /// columns in ascending eigenvalue order (ties in the order they
+  /// deflated). indx[g] is the *physical* column (0-based within the
+  /// node's block) at grouped position g, before any move.
   std::vector<index_t> indx;
 
   /// For grouped positions g in [0, k): the rank of that column's pole in
   /// dlamda (row index into the secular eigenvector matrix).
   std::vector<index_t> rank_of;
 
+  /// Deflated columns in [0, k) and their destinations, ascending by src;
+  /// at most min(k, m - k) entries. Every other deflated column stays in
+  /// its physical column. Empty means no column moves.
+  std::vector<ColumnMove> moves;
+
   /// Counts of types 1..4 (ctot[t-1]).
   index_t ctot[4] = {0, 0, 0, 0};
 
   index_t k12() const { return ctot[0] + ctot[1]; }  ///< columns with top support
   index_t k23() const { return ctot[1] + ctot[2]; }  ///< columns with bottom support
+
+  /// Physical column of deflated column j after the merge: its move's
+  /// destination when j < k, j itself otherwise.
+  index_t final_column(index_t j) const {
+    if (j >= k) return j;
+    const auto it = std::lower_bound(moves.begin(), moves.end(), j,
+                                     [](const ColumnMove& mv, index_t c) { return mv.src < c; });
+    DNC_ASSERT(it != moves.end() && it->src == j);
+    return it->dst;
+  }
 };
 
 using DeflationResult = DeflationResultT<double>;

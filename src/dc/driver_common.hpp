@@ -58,11 +58,12 @@ void solve_leaf(const TreeNode& node, Real* d, Real* e, MatrixT<Real>& v, index_
 /// raised inside a worker's task.
 extern void (*leaf_fault_for_tests)(index_t i0, index_t m);
 
-/// Applies the root permutation: d and the columns of v are reordered
-/// ascending using ws.qwork as scratch.
+/// Applies the root permutation in place: afterwards d[r] and column r of
+/// v are the old d[perm[r]] and column perm[r]. Follows the cycles of perm
+/// with one column of scratch, so a column already in place is not
+/// touched and a cycle of length L costs L + 1 column copies.
 template <typename Real>
-void sort_eigenpairs(index_t n, Real* d, MatrixT<Real>& v, const index_t* perm,
-                     WorkspaceT<Real>& ws);
+void sort_eigenpairs(index_t n, Real* d, MatrixT<Real>& v, const index_t* perm);
 
 /// Builds the merge contexts for every internal node of the plan, indexed
 /// like plan.nodes (leaves get nullptr).

@@ -3,6 +3,15 @@
 // as task bodies by the task-flow driver. Templated on the working
 // precision Real: an fp32 solve allocates fp32 workspaces (half the memory
 // footprint and traffic of the fp64 solve).
+//
+// Layout of the node block after a merge (m = n1 + n2, k non-deflated):
+//   columns [0, k)  the secular eigenvectors, ascending eigenvalue
+//   columns [k, m)  the deflated eigenvectors: each keeps its physical
+//                   column, except one that sat in [0, k), which moves once
+//                   into a column >= k freed by a non-deflated column
+// d follows the columns; perm lists the block's columns by ascending
+// eigenvalue, so the father's sons are read through perm and only the
+// root's columns are ever sorted (detail::sort_eigenpairs).
 #pragma once
 
 #include <memory>
@@ -21,7 +30,7 @@ namespace dnc::dc {
 /// its user-provided workspace).
 template <typename Real>
 struct WorkspaceT {
-  MatrixT<Real> qwork;  ///< n x n: compressed copies (w1 / w2 / deflated columns)
+  MatrixT<Real> qwork;  ///< n x n: compressed copies of non-deflated columns (w1 / w2)
   MatrixT<Real> xwork;  ///< 2n x n: delta matrix (top) and S matrix (bottom)
 
   explicit WorkspaceT(index_t n) : qwork(n, n), xwork(2 * n, n) {}
@@ -62,11 +71,6 @@ struct MergeContextT {
   MatrixViewT<Real> w2(WorkspaceT<Real>& ws) const {
     return ws.qwork.block(node.i0 + node.n1, node.i0, node.m - node.n1, node.m);
   }
-  MatrixViewT<Real> wdefl(WorkspaceT<Real>& ws) const {
-    // Full-height columns [k, m) of the node's qwork region; views are
-    // created per call AFTER deflation so k is known.
-    return ws.qwork.block(node.i0, node.i0 + defl.k, node.m, node.m - defl.k);
-  }
   MatrixViewT<Real> deltam(WorkspaceT<Real>& ws) const {
     return ws.xwork.block(2 * node.i0, node.i0, node.m, node.m);
   }
@@ -81,15 +85,23 @@ using MergeContext = MergeContextT<double>;
 /// runs deflation. d is the node's physical eigenvalue array (size m,
 /// global offset already applied by the caller); perm holds the sons'
 /// ascending orders back to back. On return d[k..m) holds the deflated
-/// eigenvalues (grouped order).
+/// eigenvalues at the columns their vectors end in: each deflated value in
+/// [0, k) has moved with its column (ctx.defl.moves), the rest stay put.
 template <typename Real>
 void run_deflation(MergeContextT<Real>& ctx, MatrixViewT<Real> qblock, Real* d,
                    const index_t* perm);
 
 /// Finishes the eigenvalue bookkeeping once all secular roots are known:
-/// merges roots and deflated values into the father's ascending perm.
+/// merges the ascending roots d[0..k) with the deflated columns (ascending,
+/// mapped through the moves) into the father's ascending perm.
 template <typename Real>
 void finalize_order(const MergeContextT<Real>& ctx, const Real* d, index_t* perm);
+
+/// ComputeLocalW over every panel of width nb, into one partial-product
+/// column per panel: the product grouping, and so z-hat, is the same as
+/// with one task per panel.
+template <typename Real>
+void zhat_local_panels(MergeContextT<Real>& ctx, const MatrixViewT<Real>& deltam, index_t nb);
 
 /// Runs a complete merge sequentially (deflation + all panels in order).
 /// This is the reference implementation; parallel drivers re-order the

@@ -13,28 +13,22 @@ namespace dnc::dc {
 
 template <typename Real>
 void permute_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& qblock,
-                   MatrixViewT<Real> w1, MatrixViewT<Real> w2, MatrixViewT<Real> wdefl,
+                   MatrixViewT<Real> w1, MatrixViewT<Real> w2, MatrixViewT<Real> /*wdefl*/,
                    index_t g0, index_t g1) {
-  const index_t m = defl.m;
   const index_t n1 = defl.n1;
-  const index_t n2 = m - n1;
+  const index_t n2 = defl.m - n1;
   const index_t k12 = defl.k12();
   const index_t c1 = defl.ctot[0];
-  g1 = std::min(g1, m);
+  g1 = std::min(g1, defl.k);
   for (index_t g = g0; g < g1; ++g) {
     const index_t j = defl.indx[g];
     if (g < k12) {
       // Types 1 and 2 contribute their top n1 rows.
       blas::copy(n1, qblock.col(j), w1.col(g));
     }
-    if (g >= c1 && g < defl.k) {
+    if (g >= c1) {
       // Types 2 and 3 contribute their bottom n2 rows.
       blas::copy(n2, qblock.col(j) + n1, w2.col(g - c1));
-    }
-    if (g >= defl.k) {
-      // Deflated columns are stashed whole (rotations may have given them
-      // support in both halves).
-      blas::copy(m, qblock.col(j), wdefl.col(g - defl.k));
     }
   }
 }
@@ -127,12 +121,12 @@ void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<
 }
 
 template <typename Real>
-void copyback_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& wdefl,
+void copyback_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& /*wdefl*/,
                     index_t g0, index_t g1, MatrixViewT<Real> qblock) {
-  const index_t m = defl.m;
-  g0 = std::max(g0, defl.k);
-  g1 = std::min(g1, m);
-  for (index_t g = g0; g < g1; ++g) blas::copy(m, wdefl.col(g - defl.k), qblock.col(g));
+  auto it = std::lower_bound(defl.moves.begin(), defl.moves.end(), g0,
+                             [](const ColumnMove& mv, index_t c) { return mv.src < c; });
+  for (; it != defl.moves.end() && it->src < g1; ++it)
+    blas::copy(defl.m, qblock.col(it->src), qblock.col(it->dst));
 }
 
 #define DNC_INSTANTIATE_SECULAR(Real)                                                         \

@@ -6,21 +6,25 @@
 //
 // Data layout for one merge of size m = n1 + n2 with k non-deflated:
 //   qblock  m x m   the node's eigenvector block (input: sons, output:
-//                   father)
+//                   father: secular eigenvectors in columns [0, k),
+//                   deflated ones in [k, m), see merge.hpp)
 //   w1      n1 x k12   top parts of type-1/2 columns (compressed copy)
 //   w2      n2 x k23   bottom parts of type-2/3 columns
-//   wdefl   m x (m-k)  deflated columns, grouped order
 //   deltam  k x k      column j = delta vector of secular root j
 //   smat    k x k      eigenvectors of the rank-one system, rows in grouped
 //                      order (ready for the compressed GEMMs)
+// Deflated columns are never copied out: they stay in qblock, and only the
+// ones in [0, k) move, once, inside it (DeflationResultT::moves).
 #pragma once
 
 #include "dc/deflation.hpp"
 
 namespace dnc::dc {
 
-/// PermuteV: copies grouped columns [g0, g1) of qblock into the compressed
-/// workspaces (paper kernel "PermuteV"; memory bound).
+/// PermuteV: copies the non-deflated grouped columns among [g0, g1) of
+/// qblock into the compressed workspaces (paper kernel "PermuteV"; memory
+/// bound). Deflated columns are not copied; wdefl is unused and may be
+/// empty.
 template <typename Real>
 void permute_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& qblock,
                    MatrixViewT<Real> w1, MatrixViewT<Real> w2, MatrixViewT<Real> wdefl,
@@ -61,8 +65,12 @@ void update_vectors_panel(const DeflationResultT<Real>& defl, const MatrixViewT<
                           const MatrixViewT<Real>& w2, const MatrixViewT<Real>& smat,
                           index_t j0, index_t j1, MatrixViewT<Real> qblock);
 
-/// CopyBackDeflated: restores deflated columns [g0, g1) (clamped to
-/// [k, m)) from wdefl into the father block (memory bound).
+/// CopyBackDeflated: performs the moves of deflated columns whose source
+/// column lies in [g0, g1), copying each within qblock to its destination
+/// column >= k (memory bound). It must run after every PermuteV panel of
+/// the merge (a destination's old column is compressed by then) and before
+/// the UpdateVect panel that overwrites the source. wdefl is unused and may
+/// be empty.
 template <typename Real>
 void copyback_panel(const DeflationResultT<Real>& defl, const MatrixViewT<Real>& wdefl,
                     index_t g0, index_t g1, MatrixViewT<Real> qblock);

@@ -88,7 +88,7 @@ Real laed5(index_t i, const Real* d, const Real* z, Real rho, Real* delta) {
 
 template <typename Real>
 SecularResultT<Real> laed4(index_t k, index_t i, const Real* d, const Real* z, Real rho,
-                           Real* delta) {
+                           Real* delta, int max_iter) {
   DNC_REQUIRE(k >= 1 && i >= 0 && i < k, "laed4: bad dimensions");
   DNC_REQUIRE(rho > Real(0), "laed4: rho must be positive");
   SecularResultT<Real> res;
@@ -161,15 +161,19 @@ SecularResultT<Real> laed4(index_t k, index_t i, const Real* d, const Real* z, R
   // ---- Safeguarded rational iteration (fixed-weight scheme). ----
   // Generous cap: near-pole roots may need tens of bisection halvings
   // before the rational model takes over.
-  const int kMaxIter = 200;
-  for (int it = 0; it < kMaxIter; ++it) {
+  if (max_iter <= 0) max_iter = 200;
+  bool stopped = false;
+  for (int it = 0; it < max_iter; ++it) {
     res.iterations = it + 1;
     const SecularEval<Real> ev = evaluate(k, delta, z, rho, tau, ii);
     // Error bound in the spirit of dlaed4's ERRETM: the computed w is exact
     // up to ~8 eps times the sum of term magnitudes; iterating below that
     // floor cannot improve the root.
     const Real erretm = Real(8) * eps * ev.asum;
-    if (std::fabs(ev.w) <= erretm) break;
+    if (std::fabs(ev.w) <= erretm) {
+      stopped = true;
+      break;
+    }
     if (ev.w > Real(0))
       hi = std::min(hi, tau);
     else
@@ -197,9 +201,13 @@ SecularResultT<Real> laed4(index_t k, index_t i, const Real* d, const Real* z, R
     // |w| <= erretm test above (which scales with the near-pole term and
     // therefore enforces relative accuracy) and lack of representable
     // progress.
-    if (cand == tau) break;
+    if (cand == tau) {
+      stopped = true;
+      break;
+    }
     tau = cand;
   }
+  if (!stopped) throw NumericalError("laed4: secular root did not converge", i);
 
   res.tau = tau;
   res.lambda = res.origin + tau;
@@ -211,8 +219,8 @@ SecularResultT<Real> laed4(index_t k, index_t i, const Real* d, const Real* z, R
 template double laed5<double>(index_t, const double*, const double*, double, double*);
 template float laed5<float>(index_t, const float*, const float*, float, float*);
 template SecularResultT<double> laed4<double>(index_t, index_t, const double*, const double*,
-                                              double, double*);
+                                              double, double*, int);
 template SecularResultT<float> laed4<float>(index_t, index_t, const float*, const float*,
-                                            float, float*);
+                                            float, float*, int);
 
 }  // namespace dnc::lapack

@@ -36,9 +36,11 @@ using SecularResult = SecularResultT<double>;
 /// delta[j] (length k) receives d_j - lambda, computed as
 /// (d_j - origin) - tau so that entries adjacent to the root carry high
 /// relative accuracy (required by the Gu-Eisenstat z-hat formula).
+/// `max_iter` caps the rational iteration (0 selects 200); running out of
+/// it before either stop test holds throws NumericalError.
 template <typename Real>
 SecularResultT<Real> laed4(index_t k, index_t i, const Real* d, const Real* z, Real rho,
-                           Real* delta);
+                           Real* delta, int max_iter = 0);
 
 /// Closed-form 2x2 case (dlaed5): i-th eigenvalue of D + rho z z^T, k = 2.
 template <typename Real>

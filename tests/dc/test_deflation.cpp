@@ -8,7 +8,11 @@
 
 #include "blas/aux.hpp"
 #include "common/matrix.hpp"
+#include "common/real_traits.hpp"
 #include "common/rng.hpp"
+#include "lapack/rotations.hpp"
+#include "lapack/steqr.hpp"
+#include "matgen/application.hpp"
 
 namespace dnc::dc {
 namespace {
@@ -56,8 +60,8 @@ TEST(Deflation, ZeroZComponentDeflates) {
                      in.perm.data() + 2);
   EXPECT_EQ(res.k, 3);
   EXPECT_EQ(res.ctot[3], 1);
-  EXPECT_EQ(res.d_defl.size(), 1u);
-  EXPECT_DOUBLE_EQ(res.d_defl[0], 1.0);  // the deflated eigenvalue
+  ASSERT_EQ(res.indx.size(), 4u);
+  EXPECT_DOUBLE_EQ(in.d[res.indx[3]], 1.0);  // the deflated eigenvalue
 }
 
 TEST(Deflation, TinyRhoDeflatesEverything) {
@@ -65,8 +69,8 @@ TEST(Deflation, TinyRhoDeflatesEverything) {
   auto res = deflate(2, 2, in.d.data(), in.z.data(), 1e-30, in.q.view(), in.perm.data(),
                      in.perm.data() + 2);
   EXPECT_EQ(res.k, 0);
-  EXPECT_EQ(res.d_defl.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(res.d_defl.begin(), res.d_defl.end()));
+  ASSERT_EQ(res.indx.size(), 4u);
+  for (index_t g = 1; g < 4; ++g) EXPECT_LE(in.d[res.indx[g - 1]], in.d[res.indx[g]]);
 }
 
 TEST(Deflation, EqualPolesRotated) {
@@ -155,6 +159,100 @@ TEST(Deflation, TraceIsPreserved) {
   deflate(3, 3, in.d.data(), in.z.data(), 2.0, in.q.view(), in.perm.data(), in.perm.data() + 3);
   const double trace_after = std::accumulate(in.d.begin(), in.d.end(), 0.0);
   EXPECT_NEAR(trace_before, trace_after, 1e-14);
+}
+
+/// The deflated columns in insertion-sorted order: each column inserted at
+/// the upper bound of its value at the moment it deflates. Replays
+/// deflate()'s classification loop on copies of d and z (the rotations
+/// update d and z; Q does not affect any decision).
+std::vector<index_t> insertion_sorted_deflation(index_t n1, index_t n2, std::vector<double> d,
+                                                std::vector<double> z, double rho,
+                                                const index_t* perm1, const index_t* perm2) {
+  const index_t m = n1 + n2;
+  std::vector<index_t> idx;
+  index_t a = 0, b = 0;
+  while (a < n1 || b < n2) {
+    if (b == n2 || (a < n1 && d[perm1[a]] <= d[n1 + perm2[b]]))
+      idx.push_back(perm1[a++]);
+    else
+      idx.push_back(n1 + perm2[b++]);
+  }
+  double dmax = 0, zmax = 0;
+  for (index_t i = 0; i < m; ++i) {
+    dmax = std::max(dmax, std::fabs(d[i]));
+    zmax = std::max(zmax, std::fabs(z[i]));
+  }
+  const double tol = 8.0 * real_traits<double>::eps() * std::max(dmax, zmax);
+  std::vector<index_t> defl;
+  const auto insert = [&](index_t j) {
+    defl.insert(std::upper_bound(defl.begin(), defl.end(), d[j],
+                                 [&](double val, index_t p) { return val < d[p]; }),
+                j);
+  };
+  if (rho * zmax <= tol) return idx;
+  index_t held = -1;
+  for (index_t j : idx) {
+    if (rho * std::fabs(z[j]) <= tol) {
+      insert(j);
+      continue;
+    }
+    if (held < 0) {
+      held = j;
+      continue;
+    }
+    double s = z[held], c = z[j];
+    const double tau = lapack::lapy2(c, s);
+    c /= tau;
+    s = -s / tau;
+    if (std::fabs((d[j] - d[held]) * c * s) <= tol) {
+      z[j] = tau;
+      const double dh = d[held], dj = d[j];
+      d[held] = dh * c * c + dj * s * s;
+      d[j] = dh * s * s + dj * c * c;
+      insert(held);
+    }
+    held = j;
+  }
+  return defl;
+}
+
+TEST(Deflation, DeflatedOrderMatchesInsertionSort) {
+  // Rotation-heavy merge: two sons of glued Wilkinson W21+ blocks share
+  // their spectra, so nearly every pair rotates across the sons.
+  const matgen::Tridiag t = matgen::glued_wilkinson(21, 4, 1e-4);
+  const index_t m = t.n(), n1 = m / 2;
+  Matrix q(m, m);
+  q.fill(0.0);
+  std::vector<double> d = t.d, e = t.e;
+  const double beta = e[n1 - 1];
+  d[n1 - 1] -= std::fabs(beta);
+  d[n1] -= std::fabs(beta);
+  lapack::steqr(lapack::CompZ::Identity, n1, d.data(), e.data(), q.data(), m);
+  lapack::steqr(lapack::CompZ::Identity, m - n1, d.data() + n1, e.data() + n1,
+                q.data() + n1 + n1 * m, m);
+  std::vector<double> z(m);
+  for (index_t j = 0; j < m; ++j) z[j] = std::sqrt(0.5) * (j < n1 ? q(n1 - 1, j) : q(n1, j));
+  std::vector<index_t> perm(m);
+  std::iota(perm.begin(), perm.begin() + n1, index_t{0});
+  std::iota(perm.begin() + n1, perm.end(), index_t{0});
+
+  const auto expected = insertion_sorted_deflation(n1, m - n1, d, z, 2.0 * std::fabs(beta),
+                                                   perm.data(), perm.data() + n1);
+  const auto res = deflate(n1, m - n1, d.data(), z.data(), 2.0 * std::fabs(beta), q.view(),
+                           perm.data(), perm.data() + n1);
+  ASSERT_GT(res.ctot[1], 10);  // many cross-son rotations
+  EXPECT_EQ(std::vector<index_t>(res.indx.begin() + res.k, res.indx.end()), expected);
+
+  // Exact ties among deflated values, from zero z entries and from
+  // rotations of equal poles: insertion order must survive.
+  auto in = make_input({0.25, 0.5, 0.5, 1.0}, {0.25, 0.5, 1.0, 1.0},
+                       {0.0, 0.3, 0.3, 0.0, 0.3, 0.0, 0.4, 0.4});
+  const auto tied = insertion_sorted_deflation(4, 4, in.d, in.z, 1.0, in.perm.data(),
+                                               in.perm.data() + 4);
+  const auto rt = deflate(4, 4, in.d.data(), in.z.data(), 1.0, in.q.view(), in.perm.data(),
+                          in.perm.data() + 4);
+  ASSERT_GE(rt.ctot[3], 4);
+  EXPECT_EQ(std::vector<index_t>(rt.indx.begin() + rt.k, rt.indx.end()), tied);
 }
 
 }  // namespace

@@ -225,22 +225,40 @@ TEST(InputContract, BeyondFp32RangeThrowsInvalidArgumentUnderFp32Precisions) {
 }
 
 TEST(Stedc, DriversAgreeOnEigenvalues) {
-  const index_t n = 120;
-  auto t = matgen::table3_matrix(6, n, 3);
-  std::vector<double> dref = t.d, eref = t.e;
-  Matrix vref;
-  Options opt;
-  opt.minpart = 25;
-  opt.nb = 32;
-  opt.threads = 4;
-  stedc_sequential(n, dref.data(), eref.data(), vref, opt);
-  for (int drv = 1; drv < 4; ++drv) {
-    std::vector<double> d = t.d, e = t.e;
-    Matrix v;
-    run_driver(static_cast<Driver>(drv), n, d.data(), e.data(), v, opt);
-    const double tol = 1e-13 * test_support::tol_scale();
-    for (index_t i = 0; i < n; ++i)
-      EXPECT_NEAR(d[i], dref[i], tol * std::max(1.0, std::fabs(dref[i]))) << "driver " << drv;
+  // The four drivers run the same kernels with the same panel split (only
+  // the schedule differs), so at the same nb they agree to the last bit,
+  // eigenvectors included, under every precision.
+  struct Problem {
+    int type;
+    index_t n;
+    std::uint64_t seed;
+    index_t minpart, nb;
+  };
+  const Problem problems[] = {
+      {6, 120, 3, 25, 32}, {2, 1000, 42, 64, 128}, {4, 1000, 42, 64, 128},
+      {10, 1000, 42, 64, 128}};
+  for (const Problem& pb : problems) {
+    const auto t = matgen::table3_matrix(pb.type, pb.n, pb.seed);
+    for (const Precision prec :
+         {Precision::F64, Precision::F32, Precision::F32RefineF64}) {
+      SCOPED_TRACE("type " + std::to_string(pb.type) + ", n " + std::to_string(pb.n) + ", " +
+                   precision_name(prec));
+      Options opt;
+      opt.minpart = pb.minpart;
+      opt.nb = pb.nb;
+      opt.threads = 4;
+      opt.precision = prec;
+      std::vector<double> dref = t.d, eref = t.e;
+      Matrix vref;
+      stedc_sequential(pb.n, dref.data(), eref.data(), vref, opt);
+      for (int drv = 1; drv < 4; ++drv) {
+        std::vector<double> d = t.d, e = t.e;
+        Matrix v;
+        run_driver(static_cast<Driver>(drv), pb.n, d.data(), e.data(), v, opt);
+        EXPECT_EQ(d, dref) << "driver " << drv;
+        EXPECT_EQ(std::memcmp(v.data(), vref.data(), vref.size_bytes()), 0) << "driver " << drv;
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "blas/simd/kernels.hpp"
+#include "common/error.hpp"
 #include "common/machine.hpp"
 #include "common/rng.hpp"
 
@@ -173,6 +174,21 @@ TEST(Laed4, InvalidArgsThrow) {
   double delta[2];
   EXPECT_THROW(laed4(2, 2, d, z, 1.0, delta), InvalidArgument);
   EXPECT_THROW(laed4(2, 0, d, z, -1.0, delta), InvalidArgument);
+}
+
+TEST(Laed4, IterationCapThrowsNumericalError) {
+  // A near-pole root that needs several iterations: a cap one below its
+  // count throws, a cap at its count does not.
+  const double d[] = {0.0, 1.0, 2.0};
+  const double nrm = std::sqrt(2.0 + 1e-14);
+  const double z[] = {1.0 / nrm, 1e-7 / nrm, 1.0 / nrm};
+  double delta[3];
+  for (index_t i = 0; i < 3; ++i) {
+    const int needed = laed4(3, i, d, z, 2.0, delta).iterations;
+    ASSERT_GT(needed, 1) << "root " << i;
+    EXPECT_THROW(laed4(3, i, d, z, 2.0, delta, needed - 1), NumericalError) << "root " << i;
+    EXPECT_NO_THROW(laed4(3, i, d, z, 2.0, delta, needed)) << "root " << i;
+  }
 }
 
 TEST(Laed4, SimdDispatchAgreesWithScalarWithin8Eps) {
